@@ -220,13 +220,12 @@ def _cmd_verify(args) -> int:
     if args.levels < 2:
         raise UsageError(f"--levels must be >= 2, got {args.levels}")
     base_n = 250 if args.n is None else args.n
-    if args.T is not None and args.T != problem.default_span():
-        # run_verification always uses the 5/c window; honor an explicit -T
-        # by scaling through c is not meaningful, so reject mismatches.
-        if abs(args.T - problem.default_span()) > 1e-12 * problem.default_span():
-            raise UsageError(
-                "verify always uses the window T = 5/c; omit --T or pass that value"
-            )
+    span = problem.default_span()
+    if args.T is not None and abs(args.T - span) > 1e-12 * span:
+        # run_verification always uses the 5/c window.
+        raise UsageError(
+            "verify always uses the window T = 5/c; omit --T or pass that value"
+        )
     report = run_verification(
         problem,
         base_n=base_n,

@@ -291,8 +291,8 @@ def peeled_source(
 
     with u_depth the next Neumann term; the identity is exact because each
     peeled term maps to the next one under the power-law integral rule.
-    Returns (P, G_F) sampled on the nodes (entries at t = a use the finite
-    limit and +-inf only when depth = 0 with mu < 1).
+    Returns (P, G_F) sampled on the nodes; at t = a a term with a negative
+    exponent (mu < 1) has no finite value, so node 0 is NaN where one enters.
     """
     dt = grid.h * np.arange(grid.n + 1)
     P = np.zeros(grid.n + 1)
@@ -308,7 +308,7 @@ def _power_on_nodes(dt: np.ndarray, expo: float) -> np.ndarray:
     if expo == 0.0:
         return np.ones_like(dt)
     out = np.empty_like(dt)
-    out[0] = 0.0 if expo > 0.0 else math.inf
+    out[0] = 0.0 if expo > 0.0 else math.nan
     out[1:] = dt[1:] ** expo
     return out
 

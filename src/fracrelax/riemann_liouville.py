@@ -21,6 +21,10 @@ about log10(m) digits when formed literally; for m >= 8 they are computed
 from the binomial expansion of (1 +/- 1/m)^(nu+1) instead, keeping the
 row-sum identity sum_k w[j,k] = (t_j - a)^nu / Gamma(nu+1) at machine
 precision even on long grids.
+
+Apart from column 0 and the diagonal the weights are Toeplitz, so they take
+O(n) storage, and both operators apply as FFT convolutions in O(n log n)
+(cf. Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).
 """
 
 from __future__ import annotations
@@ -96,17 +100,36 @@ def _require_power_args(a: float, rho: float, nu: float, t: float) -> None:
 class QuadratureWeights:
     """Lower-triangular convolution weights for the kernel (t-u)^(nu-1).
 
-    Row j applied to samples f[0..j] approximates the order-nu integral at
-    t_j; row sums equal (t_j - a)^nu / Gamma(nu+1) to machine precision
-    (exactness on constants).
+    Row j >= 1 is w[j,0] = a0[j-1], w[j,k] = d2[j-1-k] (0 < k < j), w[j,j] = c0;
+    row 0 is zero.  Storage is O(n) (d2_hat is the rfft of d2).  Row j applied
+    to f[0..j] approximates the order-nu integral at t_j, exactly on constants.
+    ``apply`` convolves by FFT: its rounding error is bounded relative to the
+    row's magnitude sum_k |w[j,k] f[k]|, not to each entry.
     """
 
     nu: float
     grid: UniformGrid
-    w: np.ndarray = field(repr=False)
+    c0: float
+    a0: np.ndarray = field(repr=False)
+    d2: np.ndarray = field(repr=False)
+    d2_hat: np.ndarray = field(repr=False)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.w @ values
+        out = np.zeros(self.grid.n + 1)
+        out[1:] = self.c0 * values[1:] + self.a0 * values[0]
+        out[2:] += _causal_convolution(self.d2_hat, values[1:-1])
+        return out
+
+
+def _fft_size(m: int) -> int:
+    """Even FFT length >= 2m - 1: m-term causal convolutions do not wrap."""
+    return max(2, 1 << (2 * m - 2).bit_length())
+
+
+def _causal_convolution(kernel_hat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """First len(x) terms of kernel * x, from the kernel's rfft (``_fft_size``)."""
+    size = 2 * (len(kernel_hat) - 1)
+    return np.fft.irfft(kernel_hat * np.fft.rfft(x, size), size)[: len(x)]
 
 
 def _second_diff_pow(m: np.ndarray, p: float) -> np.ndarray:
@@ -178,8 +201,9 @@ def build_weights(
 ) -> QuadratureWeights:
     """Product-trapezoidal weights for the order-nu integral on ``grid``.
 
-    Storage is O(n^2); ``max_nodes`` guards against accidental huge grids.
-    For nu = 1 the weights reduce to the composite trapezoidal rule.
+    Storage is O(n); ``max_nodes`` bounds the O(n^2) time of the implicit
+    march (volterra.solve_volterra).  For nu = 1 the weights reduce to the
+    composite trapezoidal rule.
     """
     if not nu > 0.0:
         raise DomainError(f"nu must be positive, got {nu!r}")
@@ -192,13 +216,8 @@ def build_weights(
     c0 = grid.h**nu * reciprocal_gamma(nu + 2.0)
     d2 = c0 * _second_diff_pow(np.arange(1.0, n), p) if n >= 2 else np.empty(0)
     a0 = c0 * _first_row_coeff(np.arange(1.0, n + 1.0), p)
-    w = np.zeros((n + 1, n + 1))
-    for j in range(1, n + 1):
-        w[j, j] = c0
-        w[j, 0] = a0[j - 1]
-        if j >= 2:
-            w[j, 1:j] = d2[j - 2 :: -1]
-    return QuadratureWeights(nu=nu, grid=grid, w=w)
+    d2_hat = np.fft.rfft(d2, _fft_size(n - 1))
+    return QuadratureWeights(nu=nu, grid=grid, c0=c0, a0=a0, d2=d2, d2_hat=d2_hat)
 
 
 def rl_integral_numeric(
@@ -245,12 +264,10 @@ def rl_derivative_numeric(f: GridFunction, mu: float) -> GridFunction:
     c_conv = reciprocal_gamma(2.0 - mu) * grid.h ** (-mu)
     c_start = reciprocal_gamma(1.0 - mu)
     df = np.diff(f.values)
-    dt = grid.h * np.arange(n + 1)
+    dt = grid.h * np.arange(1, n + 1)
     out = np.full(n + 1, math.nan)
-    for j in range(1, n + 1):
-        out[j] = f.values[0] * dt[j] ** (-mu) * c_start + c_conv * np.dot(
-            df[:j], bd[j - 1 :: -1]
-        )
+    conv = _causal_convolution(np.fft.rfft(bd, _fft_size(n)), df)
+    out[1:] = f.values[0] * dt ** (-mu) * c_start + c_conv * conv
     return GridFunction(grid=grid, values=out, singular_start=True)
 
 

@@ -114,24 +114,27 @@ def solve_volterra(
 
     Marches j = 1..n solving (1 + c^nu w[j,j]) G_j = G_F_j - c^nu sum_{k<j}
     w[j,k] G_k, one scalar solve per node (the lower-triangular Volterra
-    structure needs no global matrix).  For scheme="picard" this dispatches
-    to picard_iterate.
+    structure needs no global matrix): O(n) memory, O(n^2) time.  For
+    scheme="picard" this dispatches to picard_iterate.
     """
     if cfg.scheme == "picard":
         return picard_iterate(problem, cfg, weights=weights)
     weights, P, G_F = _prepare(problem, cfg, weights)
-    w = weights.w
     cn = problem.rate_factor
     n = cfg.grid.n
+    denom = 1.0 + cn * weights.c0  # the same on every row
+    if not denom > 0.0 or not math.isfinite(denom):
+        raise StepSingularError(f"degenerate step: 1 + c^nu w[j,j] = {denom!r}")
+    # row[n-1-k] = d2[k]; with a0[j-1] at row[n-j], row[n-j:] is w[j, :j].
+    row = np.empty(n)
+    row[1:] = weights.d2[::-1]
     G = np.zeros(n + 1)
     G[0] = G_F[0]
     for j in range(1, n + 1):
-        denom = 1.0 + cn * w[j, j]
-        if not denom > 0.0 or not math.isfinite(denom):
-            raise StepSingularError(
-                f"degenerate step at node {j}: 1 + c^nu w[j,j] = {denom!r}"
-            )
-        G[j] = (G_F[j] - cn * float(np.dot(w[j, :j], G[:j]))) / denom
+        row[n - j] = weights.a0[j - 1]
+        G[j] = (G_F[j] - cn * float(np.dot(row[n - j :], G[:j]))) / denom
+        if j < n:
+            row[n - j] = weights.d2[j - 1]
     return _assemble(problem, cfg, P, G)
 
 
@@ -151,12 +154,11 @@ def picard_iterate(
     if cfg.scheme != "picard":
         raise ValueError("picard_iterate requires scheme='picard'")
     weights, P, G_F = _prepare(problem, cfg, weights)
-    W = weights.w
     cn = problem.rate_factor
     G = G_F.copy()
     base_norm = max(1.0, float(np.max(np.abs(G_F))))
     for _ in range(cfg.picard_iterations):
-        G = G_F - cn * (W @ G)
+        G = G_F - cn * weights.apply(G)
         G[0] = G_F[0]
         norm = float(np.max(np.abs(G)))
         if norm > _DIVERGENCE_FACTOR * base_norm:

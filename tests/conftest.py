@@ -1,10 +1,11 @@
-"""Shared test helpers: acceptance-line reporting and an independent
-high-precision Mittag-Leffler reference.
+"""Shared test helpers: acceptance-line reporting, an independent
+high-precision Mittag-Leffler reference and the dense quadrature matrix.
 """
 
 import math
 
 import mpmath as mp
+import numpy as np
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -71,3 +72,17 @@ def ml_reference_negative(alpha: float, x: float) -> float:
         # the truncation error is of the order of the smallest term
         assert min(prev, envelope) < 1e-19 * abs(s), (alpha, x)
         return float(-s)
+
+
+def dense_weights(weights) -> np.ndarray:
+    """The (n+1)^2 product-trapezoid matrix, filled row by row from the
+    structured weights (c0 on the diagonal, a0 in column 0, the reversed
+    band d2 in between): the layout the matrix-free code must reproduce."""
+    n = weights.grid.n
+    w = np.zeros((n + 1, n + 1))
+    for j in range(1, n + 1):
+        w[j, j] = weights.c0
+        w[j, 0] = weights.a0[j - 1]
+        if j >= 2:
+            w[j, 1:j] = weights.d2[j - 2 :: -1]
+    return w

@@ -125,6 +125,21 @@ class TestVerifyCommand:
     def test_levels_validation(self):
         assert main(["verify", "--nu", "0.5", "--c", "1", "--levels", "1"]) == 2
 
+    def test_window_equal_to_default_up_to_rounding(self, capsys):
+        # 5/3 written to 16 digits differs from the double 5/3 in its last bit
+        args = ["verify", "--nu", "0.5", "--c", "3", "--n", "80", "--levels", "2"]
+        assert main(args) == 0
+        report = capsys.readouterr().out
+        assert float("1.666666666666667") != 5.0 / 3.0
+        assert main([*args, "--T", "1.666666666666667"]) == 0
+        assert capsys.readouterr().out == report
+
+    def test_mismatching_window_exit_2(self, capsys):
+        rc = main(["verify", "--nu", "0.5", "--c", "1", "--n", "80", "--levels", "2",
+                   "--T", "4"])
+        assert rc == 2
+        assert "T = 5/c" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_ordering_and_count(self, capsys):

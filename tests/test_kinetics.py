@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ from fracrelax.kinetics import (
     neumann_curve,
     neumann_partial_sum,
     neumann_term,
+    peeled_source,
     power_source_solution,
     power_source_solution_origin,
     relaxation_solution,
     relaxation_solution_origin,
 )
 from fracrelax.riemann_liouville import UnsupportedOrderError
+from fracrelax.verification import run_verification
 
 # high-precision brute-force values, frozen from 50-digit summation
 GAMMA_HALF_E_HALF_HALF_M1 = 0.24212784385868789  # Gamma(0.5) E[0.5,0.5](-1)
@@ -317,3 +320,17 @@ class TestPeeling:
         assert coefs[0] == 1.0
         signs = [math.copysign(1.0, c) for c in coefs]
         assert signs == [1.0, -1.0, 1.0, -1.0, 1.0]
+
+    def test_singular_head_is_undefined_at_start(self):
+        # mu < 1 with peel depth >= 2: the head's first two terms diverge
+        # with opposite signs at t = a, so node 0 has no value to compute
+        p = KineticProblem(nu=0.2, c=1.0, N_a=1.0, mu=0.5)
+        g = UniformGrid.from_span(0.0, 5.0, 100)
+        depth = auto_peel_depth(p)
+        assert depth >= 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P, G_F = peeled_source(p, g, depth)
+            run_verification(p)
+        assert math.isnan(P[0])
+        assert np.isfinite(P[1:]).all() and np.isfinite(G_F).all()

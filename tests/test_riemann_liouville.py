@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import dense_weights
 from fracrelax.gammafn import reciprocal_gamma
 from fracrelax.grids import DomainError, GridFunction, GridMismatchError, UniformGrid
 from fracrelax.riemann_liouville import (
+    DEFAULT_MAX_NODES,
     UnsupportedOrderError,
+    _backward_diff_pow,
     build_weights,
     rl_derivative_constant,
     rl_derivative_numeric,
@@ -95,25 +99,25 @@ class TestPowerRules:
 class TestWeights:
     def test_trapezoid_reduction_at_nu_one(self):
         g = UniformGrid(0.0, 0.25, 4)
-        w = build_weights(g, 1.0).w
+        w = build_weights(g, 1.0)
         h = g.h
-        for j in range(1, 5):
-            expected = np.array([h / 2] + [h] * (j - 1) + [h / 2])
-            assert np.allclose(w[j, : j + 1], expected, rtol=1e-14)
+        assert w.c0 == pytest.approx(h / 2, rel=1e-14)
+        np.testing.assert_allclose(w.a0, np.full(4, h / 2), rtol=1e-14)
+        np.testing.assert_allclose(w.d2, np.full(3, h), rtol=1e-14)
 
     def test_first_row_closed_form(self):
         # kernel moments over one unit cell: int (1-u)^(-1/2) (1-u) du = 2/3
         # and int (1-u)^(-1/2) u du = 4/3, divided by Gamma(1/2)
         g = UniformGrid(0.0, 1.0, 1)
-        w = build_weights(g, 0.5).w
-        assert w[1, 0] == pytest.approx((2.0 / 3.0) / SQRT_PI, rel=1e-13)
-        assert w[1, 1] == pytest.approx((4.0 / 3.0) / SQRT_PI, rel=1e-13)
+        w = build_weights(g, 0.5)
+        assert w.a0[0] == pytest.approx((2.0 / 3.0) / SQRT_PI, rel=1e-13)
+        assert w.c0 == pytest.approx((4.0 / 3.0) / SQRT_PI, rel=1e-13)
 
     @pytest.mark.parametrize("nu", [0.3, 0.5, 0.9])
     def test_row_sums_exact_on_constants(self, nu):
         g = UniformGrid.from_span(0.0, 5.0, 600)
         w = build_weights(g, nu)
-        sums = w.w.sum(axis=1)
+        sums = w.apply(np.ones(g.n + 1))
         t = g.times()
         expected = t**nu * reciprocal_gamma(nu + 1.0)
         rel = np.abs(sums[1:] - expected[1:]) / expected[1:]
@@ -128,6 +132,42 @@ class TestWeights:
         g = UniformGrid.from_span(0.0, 1.0, 8)
         with pytest.raises(DomainError):
             build_weights(g, 0.0)
+
+
+def _test_vectors(n):
+    t = np.linspace(0.0, 1.0, n + 1)
+    rng = np.random.default_rng(n)
+    return {
+        "ones": np.ones(n + 1),
+        "random": rng.standard_normal(n + 1),
+        "oscillating": np.cos(0.37 * np.pi * np.arange(n + 1)) + 0.1 * t,
+    }
+
+
+class TestStructuredWeights:
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 600, 4000])
+    def test_apply_matches_dense_matrix(self, n):
+        g = UniformGrid.from_span(0.0, 5.0, n)
+        for nu in (0.1, 0.3, 0.5, 0.9, 1.0, 1.7):
+            w = build_weights(g, nu)
+            dense = dense_weights(w)
+            for name, v in _test_vectors(n).items():
+                # the FFT rounds relative to each row's magnitude
+                scale = (np.abs(dense) @ np.abs(v)).max()
+                gap = np.abs(w.apply(v) - dense @ v).max()
+                assert gap <= 1e-13 * scale, (nu, name, gap / scale)
+
+    def test_storage_is_linear_at_the_node_cap(self):
+        g = UniformGrid.from_span(0.0, 5.0, DEFAULT_MAX_NODES)
+        tracemalloc.start()
+        try:
+            w = build_weights(g, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a dense matrix would need 8 (n+1)^2 bytes = 3.2 GB here
+        assert peak < 2e6
+        assert len(w.a0) == DEFAULT_MAX_NODES
 
 
 class TestNumericIntegral:
@@ -247,6 +287,27 @@ class TestNumericDerivative:
             errs.append(np.abs(out.values[1:][mask] - exact[mask]).max())
         assert observed_order(errs[0], errs[1]) >= 2.0 - nu - 0.2
         assert observed_order(errs[1], errs[2]) >= 2.0 - nu - 0.2
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 600, 4000])
+    def test_matches_l1_loop(self, n):
+        # reference: the L1 sum one row at a time, as a direct dot product
+        g = UniformGrid.from_span(0.0, 2.0, n)
+        dt = g.h * np.arange(n + 1)
+        for mu in (0.1, 0.5, 0.9):
+            bd = _backward_diff_pow(np.arange(1.0, n + 1.0), 1.0 - mu)
+            c_conv = reciprocal_gamma(2.0 - mu) * g.h ** (-mu)
+            c_start = reciprocal_gamma(1.0 - mu)
+            for name, v in _test_vectors(n).items():
+                out = rl_derivative_numeric(GridFunction(grid=g, values=v), mu)
+                df = np.diff(v)
+                for j in range(1, n + 1):
+                    head = v[0] * dt[j] ** (-mu) * c_start
+                    ref = head + c_conv * np.dot(df[:j], bd[j - 1 :: -1])
+                    # bound: 1e-13 of the row's magnitude
+                    scale = abs(head) + c_conv * np.dot(
+                        np.abs(df[:j]), bd[j - 1 :: -1]
+                    )
+                    assert abs(out.values[j] - ref) <= 1e-13 * scale, (mu, name, j)
 
     @pytest.mark.parametrize("mu", [1.0, 1.5, 0.0, -0.3])
     def test_rejects_out_of_range_order(self, mu):

@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dense_weights
 from fracrelax.grids import GridMismatchError, UniformGrid
-from fracrelax.kinetics import KineticProblem, closed_form_curve
+from fracrelax.kinetics import (
+    KineticProblem,
+    auto_peel_depth,
+    closed_form_curve,
+    peeled_source,
+)
+from fracrelax.riemann_liouville import build_weights
 from fracrelax.volterra import (
     OracleConfig,
     PicardDivergenceError,
@@ -18,6 +25,21 @@ def masked_gap(curve_a, curve_b, steps=10):
     t = g.times()
     mask = t >= g.a + steps * g.h
     return np.abs(curve_a.values[mask] - curve_b.values[mask]).max()
+
+
+def dense_march(problem, grid):
+    """The implicit march on the dense weight matrix, one row at a time."""
+    w = dense_weights(build_weights(grid, problem.nu))
+    P, G_F = peeled_source(problem, grid, auto_peel_depth(problem))
+    cn = problem.rate_factor
+    G = np.zeros(grid.n + 1)
+    G[0] = G_F[0]
+    for j in range(1, grid.n + 1):
+        G[j] = (G_F[j] - cn * float(np.dot(w[j, :j], G[:j]))) / (1.0 + cn * w[j, j])
+    values = P + G
+    if problem.mu_eff < 1.0:
+        values[0] = math.nan
+    return values
 
 
 class TestConfig:
@@ -106,6 +128,21 @@ class TestImplicitMarch:
         raw = solve_volterra(p, OracleConfig(grid=g, peel_depth=0))
         t = g.times()
         assert np.abs(raw.values - np.exp(-t)).max() <= 1e-4
+
+
+    @pytest.mark.parametrize(
+        "nu, mu",
+        [(0.5, None), (0.75, None), (1.0, None), (0.3, 1.5), (0.6, 0.5), (0.9, 2.0),
+         (1.7, None)],
+    )
+    def test_bitwise_equal_to_dense_march(self, nu, mu):
+        # the march reads the same row values in the same order as a march
+        # over the dense matrix, so the floating-point results are identical
+        p = KineticProblem(nu=nu, c=2.7, N_a=1.3, mu=mu)
+        for n in (1, 2, 17, 500):
+            g = UniformGrid.from_span(0.0, p.default_span(), n)
+            march = solve_volterra(p, OracleConfig(grid=g))
+            assert np.array_equal(march.values, dense_march(p, g), equal_nan=True)
 
 
 class TestPicard:
