@@ -16,6 +16,7 @@ from .gammafn import (
 from .grids import DomainError, GridFunction, GridMismatchError, UniformGrid
 from .kinetics import (
     KineticProblem,
+    RelaxationInvariantError,
     SolutionCurve,
     closed_form_curve,
     differential_equation_residual,
@@ -94,6 +95,7 @@ __all__ = [
     "rl_integral_numeric",
     "rl_derivative_numeric",
     "KineticProblem",
+    "RelaxationInvariantError",
     "SolutionCurve",
     "relaxation_solution",
     "relaxation_solution_origin",

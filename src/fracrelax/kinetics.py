@@ -41,6 +41,7 @@ from .riemann_liouville import (
 
 __all__ = [
     "KineticProblem",
+    "RelaxationInvariantError",
     "SolutionCurve",
     "relaxation_solution",
     "relaxation_solution_origin",
@@ -57,6 +58,13 @@ __all__ = [
 ]
 
 METHOD_TAGS = ("closed_form", "neumann", "oracle")
+# Relative rise allowed between neighbouring values of a decreasing curve,
+# twice the Mittag-Leffler accuracy target.
+_MONOTONE_SLACK = 2e-13
+
+
+class RelaxationInvariantError(ArithmeticError):
+    """A plain relaxation curve left (0, N_a] or increased."""
 
 
 @dataclass(frozen=True)
@@ -162,9 +170,13 @@ def power_source_solution(problem: KineticProblem, t: float) -> float:
         raise DomainError("power-source form requires mu")
     if not t > problem.a:
         raise DomainError(f"t must exceed a={problem.a!r}, got {t!r}")
-    dt = t - problem.a
     e = ml_eval(MLParams(problem.nu, problem.mu), problem.decay_argument(t))
-    return problem.N_a * gamma(problem.mu) * dt ** (problem.mu - 1.0) * e
+    return _power_source_factor(problem, t - problem.a) * e
+
+
+def _power_source_factor(problem: KineticProblem, dt):
+    """N_a Gamma(mu) dt^(mu-1), the factor of E[nu, mu] in the power-source form."""
+    return problem.N_a * gamma(problem.mu) * dt ** (problem.mu - 1.0)
 
 
 def power_source_solution_origin(
@@ -209,12 +221,6 @@ def neumann_partial_sum(problem: KineticProblem, t: float, M: int) -> float:
     return total
 
 
-def _closed_value(problem: KineticProblem, t: float) -> float:
-    if problem.mu is None:
-        return relaxation_solution(problem, t)
-    return power_source_solution(problem, t)
-
-
 def _start_value(problem: KineticProblem) -> float:
     # Limit of the solution as t -> a+: N_a Gamma(mu) for mu = 1, 0 for
     # mu > 1, divergent (NaN-flagged) for mu < 1.
@@ -228,14 +234,45 @@ def _start_value(problem: KineticProblem) -> float:
     return problem.N_a * gamma(problem.mu)
 
 
+def _check_relaxation_invariant(problem: KineticProblem, ratio: np.ndarray) -> None:
+    """Check N/N_a = E[nu](-c^nu (t-a)^nu) on increasing t > a, 0 < nu <= 1.
+
+    E[nu](-x) is completely monotone there (Pollard 1948), so every value
+    lies in (0, 1] and none exceeds its predecessor by more than the
+    evaluator's rounding.  Only e^-x (nu = 1) may underflow to exactly 0.
+    Raises RelaxationInvariantError at the first violation.
+    """
+    if not (problem.mu is None and 0.0 < problem.nu <= 1.0):
+        raise DomainError("the relaxation invariant holds for plain problems, 0 < nu <= 1")
+    low = (ratio < 0.0) | ((ratio == 0.0) & (problem.nu != 1.0))
+    bad = low | ~(ratio <= 1.0)
+    bad[1:] |= ratio[1:] > ratio[:-1] * (1.0 + _MONOTONE_SLACK)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise RelaxationInvariantError(
+            f"{problem}: N/N_a = {float(ratio[j])!r} at node {j + 1} leaves (0, 1] or "
+            "exceeds its predecessor"
+        )
+
+
 def closed_form_curve(problem: KineticProblem, grid: UniformGrid) -> SolutionCurve:
-    """Sample the closed-form solution on a grid."""
+    """Sample the closed-form solution on a grid, one evaluation of E per node.
+
+    Plain curves with 0 < nu <= 1 are checked against the relaxation
+    invariant before they are returned.
+    """
     _require_grid(problem, grid)
-    times = grid.times()
+    times = grid.times()[1:]
+    params = MLParams(problem.nu, problem.mu_eff)
+    e = np.array([ml_eval(params, problem.decay_argument(t)) for t in times])
     values = np.empty(grid.n + 1)
     values[0] = _start_value(problem)
-    for j in range(1, grid.n + 1):
-        values[j] = _closed_value(problem, times[j])
+    if problem.mu is None:
+        if problem.nu <= 1.0:
+            _check_relaxation_invariant(problem, e)
+        values[1:] = problem.N_a * e
+    else:
+        values[1:] = _power_source_factor(problem, times - problem.a) * e
     return SolutionCurve(
         problem=problem,
         grid=grid,

@@ -2,51 +2,66 @@
 
 E[alpha, beta](z) = sum_{k>=0} z^k / Gamma(alpha k + beta), alpha, beta > 0.
 
-All the relaxation solutions in this package evaluate E at arguments
--c^nu (t-a)^nu <= 0, where the series alternates and cancels
-catastrophically once |z| is moderate.  The evaluation ladder is:
+The relaxation solutions of this package evaluate E at -c^nu (t-a)^nu <= 0,
+where the series alternates and cancels once |z| is moderate.  ``ml_eval``
+gives a node the first regime below that covers it and certifies its value
+to ~1e-13 relative:
 
-1. Kahan-compensated double-precision summation of the series.  A rounding
-   estimate built from the largest partial sum and the term count decides
-   whether the result can be trusted to ~1e-13 relative.
-2. If not, the series is re-summed with mpmath at a working precision sized
-   to the observed cancellation (digits lost = log10(max |term| / |sum|)),
-   iterating until the result carries >= 17 significant digits.  The
-   arguments alpha k + beta are formed in mpmath: a one-ulp error in a
-   Gamma argument, multiplied by a term peak of 1e20, would otherwise
-   survive as garbage that the precision check still accepts.
-3. On the far negative axis the algebraic asymptotic expansion
+1. Series, for z >= -asymptotic_switch: Kahan-compensated double-precision
+   summation.  A rounding estimate built from the largest partial sum and
+   the term count decides whether the result can be trusted.  It is kept
+   wherever it certifies, because there it is accurate to a few ulp, which
+   the Neumann-envelope checks at |z| <= 1 rely on.  Where the spectral
+   regime covers z and the analytic peak term already rules the
+   certificate out, the pass is skipped.
+2. Asymptotic, for z < -asymptotic_switch: the algebraic expansion
 
        E[alpha, beta](z) ~ -sum_{k>=1} z^-k / Gamma(beta - alpha k)
 
-   with optimal truncation is used instead whenever its error certificate
-   (smallest retained term, plus the oscillatory exponential-mode bound for
-   alpha >= 0.9) meets the same target.  The certificate matters: near
-   alpha = 1 the expansion degenerates (for alpha = 1 every term vanishes
-   while E itself is e^z), so an uncertified asymptotic value would be
-   silently wrong and the evaluator falls back to the series instead.
+   with optimal truncation, certified by the smallest retained term plus,
+   for alpha >= 0.9, a bound on the oscillatory exponential mode the
+   algebraic terms cannot see (for alpha = 1 every term vanishes while E
+   is e^z, so the certificate, not the expansion, decides).
+3. Spectral, for 0 < alpha < 1, beta = 1, -1e6 <= z < 0.  E[alpha] is
+   completely monotone with the positive representation (Gorenflo-Mainardi,
+   rho = r^alpha)
 
-Spectral regime (0 < alpha < 1, beta = 1, z = -x < 0).  Here E[alpha] is
-completely monotone and has the positive integral representation
-(Gorenflo-Mainardi spectral form, with rho = r^alpha)
+       E[alpha](-x) = sin(alpha pi)/(alpha pi)
+                      * int_0^inf exp(-(x rho)^(1/alpha))
+                        / (rho^2 + 2 rho cos(alpha pi) + 1) d rho,
 
-    E[alpha](-x) = sin(alpha pi)/(alpha pi)
-                   * int_0^inf exp(-(x rho)^(1/alpha))
-                     / (rho^2 + 2 rho cos(alpha pi) + 1) d rho.
+   summed by the trapezoid rule in u = log rho.  The integrand decays like
+   e^u as u -> -inf for every alpha, so one node range serves all alpha;
+   it is analytic in |Im u| < d = min(pi (1-alpha), alpha pi/2), so the
+   step h = 2 pi d / 40 keeps the discretisation error near e^-40.  All
+   terms are positive; nothing cancels.  Alpha so close to 0 or 1 that the
+   strip needs more than _SPECTRAL_MAX_NODES nodes is left to the contour.
+4. Contour, for z = -x < 0 and alpha < 2: the Bromwich integral
 
-It is evaluated by the trapezoid rule in u = log rho.  The integrand decays
-like e^u as u -> -inf for every alpha, so one node range serves all alpha;
-it is analytic in the strip |Im u| < d = min(pi (1-alpha), alpha pi/2)
-(the poles of the rational factor and the loss of decay of the exponential),
-so the step h = 2 pi d / 40 keeps the discretisation error near e^-40.  All
-terms are positive, so nothing cancels.  This regime replaces the mpmath
-series wherever the double pass cannot certify its result: inside the
-asymptotic switch when the pass fails (or its peak term already shows it
-must), and past the switch when the asymptotic certificate fails.  The
-double pass is kept wherever it certifies, because there it is accurate to
-a few ulp, which the Neumann-envelope checks at |z| <= 1 rely on.  Alpha so
-close to 0 or 1 that the strip needs more than _SPECTRAL_MAX_NODES nodes
-stays on the series ladder.
+       E[alpha, beta](-x) = 1/(2 pi i) int_C e^s s^(alpha-beta)/(s^alpha + x) ds
+
+   on the parabola s = mu (1 + iu)^2 (Weideman & Trefethen, Math. Comp. 76,
+   2007), by the trapezoid rule in u with step _CONTOUR_STEP.  The contour
+   data depend only on (alpha, beta, mu) and are cached, so x enters only
+   as 1/(1 + x s^-alpha).  The branch cut on the negative axis lies on
+   Im u = 1 for every mu.  For 1 < alpha < 2 the poles s^alpha = -x, at
+   s = x^(1/alpha) e^(+-i pi/alpha), are kept at least _POLE_MARGIN from
+   the contour in the u-plane by lowering mu where needed, and the residues
+   (2/alpha) Re(e^s s^(1-beta)) of the poles outside it are added (Garrappa,
+   SIAM J. Numer. Anal. 53, 2015).  The certificate is _CONTOUR_ROUNDING
+   times the sum of |terms| and the residue's scale, plus the discretisation
+   error of the poles, relative to |value|; it fails next to a zero of E
+   (e.g. E[0.7, 0.5] at x = 1.6535) and where E is exponentially small
+   (alpha = beta = 1 beyond x ~ 8).
+5. mpmath series, for the few nodes no regime above certifies: the series
+   is re-summed at a working precision sized to the observed cancellation
+   (digits lost = log10(max |term| / |sum|), or from the peak term and an
+   uncertified contour value), escalating until the result carries >= 17
+   significant digits.  The arguments alpha k + beta are formed in mpmath:
+   a one-ulp error in a Gamma argument, times a term peak of 1e20, would
+   otherwise survive as garbage that the precision check still accepts.
+   Far out, where even that is infeasible, an asymptotic value certified to
+   1e-6 is returned.
 """
 
 from __future__ import annotations
@@ -99,6 +114,17 @@ _SPECTRAL_MAX_NODES = 100_000
 _SPECTRAL_U_MIN = -_SPECTRAL_LOG_EPS - math.log(_SPECTRAL_X_MAX)
 # exp(-y) is exactly 0.0 in double for y >= 746.
 _LOG_EXP_UNDERFLOW = math.log(746.0)
+# Contour quadrature: parabola scale, trapezoid step in u, and the decay
+# e^(mu (1 - U^2)) = e^-_CONTOUR_LOG_EPS of e^s at the last node u = U.  The
+# cut at Im u = 1 leaves a discretisation error near e^(-2 pi / h) = e^-63.
+_CONTOUR_MU = 0.25
+_CONTOUR_STEP = 0.1
+_CONTOUR_LOG_EPS = 45.0
+# Poles stay this far from the contour in the u-plane; their discretisation
+# error e^(-2 pi margin / h) is ~4e-17 of their residue.
+_POLE_MARGIN = 0.6
+# Rounding of one contour term, as a multiple of its magnitude.
+_CONTOUR_ROUNDING = 4.0 * _EPS
 
 
 class SeriesConvergenceError(ArithmeticError):
@@ -161,7 +187,7 @@ def default_policy(params: MLParams) -> MLEvalPolicy:
 @dataclass(frozen=True)
 class MLResult:
     value: float
-    regime: str  # "series", "asymptotic" or "spectral"
+    regime: str  # "series", "asymptotic", "spectral" or "contour"
     terms: int  # series/asymptotic terms, or quadrature nodes
 
 
@@ -173,39 +199,44 @@ def series_terms(params: MLParams, z: float, max_k: int) -> Iterator[float]:
         zk *= z
 
 
-@lru_cache(maxsize=1 << 16)
-def _series_coeff(alpha: float, beta: float, k: int) -> float:
-    """1/Gamma(alpha k + beta), shared by every double pass with (alpha, beta)."""
-    return reciprocal_gamma(alpha * k + beta)
+@lru_cache(maxsize=64)
+def _series_coefficients(alpha: float, beta: float, size: int) -> tuple[float, ...]:
+    """1/Gamma(alpha k + beta) for k < size, shared by every double pass."""
+    return tuple(reciprocal_gamma(alpha * k + beta) for k in range(size))
 
 
 def _sum_double(params: MLParams, z: float, tol: float, max_terms: int):
-    """Kahan-compensated double pass.
+    """Kahan-compensated double pass on Python floats.
 
     Returns (value, terms_used, max_magnitude) or (None, k, max_magnitude)
-    when a power overflowed (caller escalates or reports overflow).
+    when a power overflowed (caller escalates or reports overflow).  The
+    coefficients come from a table of 64 4^j entries.
     """
-    s = 0.0
-    comp = 0.0
-    max_mag = 0.0
+    s = comp = max_mag = abs_s = 0.0
     zk = 1.0
+    grows = abs(z) > 1.0  # only then can z^k overflow
     alpha, beta = params.alpha, params.beta
+    size = 64
+    coeffs = _series_coefficients(alpha, beta, size)
     for k in range(max_terms + 1):
-        term = zk * _series_coeff(alpha, beta, k)
-        if k >= 1 and abs(term) < tol * max(1.0, abs(s)):
+        if k == size:
+            size *= 4
+            coeffs = _series_coefficients(alpha, beta, size)
+        term = zk * coeffs[k]
+        at = abs(term)
+        if k >= 1 and at < tol * (abs_s if abs_s > 1.0 else 1.0):
             return s, k, max_mag
         y = term - comp
         t = s + y
         comp = (t - s) - y
         s = t
-        m = abs(s)
-        if m > max_mag:
-            max_mag = m
-        at = abs(term)
+        abs_s = abs(s)
+        if abs_s > max_mag:
+            max_mag = abs_s
         if at > max_mag:
             max_mag = at
         zk *= z
-        if math.isinf(zk):
+        if grows and math.isinf(zk):
             return None, k + 1, max_mag
     raise SeriesConvergenceError(
         f"series for E[{alpha}, {beta}]({z}) did not satisfy the stopping "
@@ -406,6 +437,75 @@ def _spectral(params: MLParams, z: float) -> MLResult:
     return MLResult(float(np.sum(w[i0:i1] * decay)), "spectral", int(i1 - i0))
 
 
+@lru_cache(maxsize=32)
+def _contour_nodes(alpha: float, beta: float, mu: float):
+    """Contour data (Re a, Im a, Re b, Im b) for the parabola of scale mu.
+
+    With s = mu (1 + iu)^2 and trapezoid weight w (halved at u = 0),
+    a = w e^s s^-beta ds/du and b = s^-alpha, so that the node u contributes
+    Im(a / (1 + x b)); the symmetry s(-u) = conj(s(u)) folds u < 0 onto
+    u > 0, hence the weight h/pi instead of h/(2 pi).  log s is formed as
+    log mu + 2 log(1 + iu), the principal branch since |arg(1 + iu)| < pi/2.
+    """
+    h = _CONTOUR_STEP
+    u = h * np.arange(math.ceil(math.sqrt(1.0 + _CONTOUR_LOG_EPS / mu) / h) + 1)
+    one_iu = 1.0 + 1j * u
+    log_s = math.log(mu) + 2.0 * np.log(one_iu)
+    w = np.full(u.size, h / math.pi)
+    w[0] *= 0.5
+    a = w * np.exp(mu * one_iu * one_iu - beta * log_s) * (2j * mu) * one_iu
+    b = np.exp(-alpha * log_s)
+    parts = (a.real.copy(), a.imag.copy(), b.real.copy(), b.imag.copy())
+    for p in parts:
+        p.setflags(write=False)  # shared by every caller through the cache
+    return parts
+
+
+def _contour(params: MLParams, x: float):
+    """E[alpha, beta](-x), x > 0, alpha < 2, on the parabolic contour.
+
+    Returns (value, relative certificate, contour nodes).  For 1 < alpha < 2
+    the poles at s_p = x^(1/alpha) e^(+-i pi/alpha) sit at Im u = 1 - c
+    sqrt(|s_p|/mu), c = cos(pi/(2 alpha)); where that is within _POLE_MARGIN
+    of 0, mu is lowered by factors of sqrt(2) until the poles lie at least
+    the margin outside the contour.
+    """
+    alpha, beta = params.alpha, params.beta
+    mu = _CONTOUR_MU
+    residue = residue_scale = disc = 0.0
+    if alpha > 1.0:
+        r = x ** (1.0 / alpha)
+        c = math.cos(0.5 * math.pi / alpha)
+        if abs(c * math.sqrt(r / mu) - 1.0) < _POLE_MARGIN:
+            # largest mu_0 2^(-l/2) with c sqrt(r/mu) >= 1 + margin
+            wanted = r * (c / (1.0 + _POLE_MARGIN)) ** 2
+            level = math.ceil(2.0 * math.log2(_CONTOUR_MU / wanted))
+            mu = _CONTOUR_MU * 2.0 ** (-0.5 * level)
+        dist = 1.0 - c * math.sqrt(r / mu)
+        theta = math.pi / alpha
+        size = (2.0 / alpha) * math.exp(r * math.cos(theta)) * r ** (1.0 - beta)
+        if dist < 0.0:
+            residue = size * math.cos(r * math.sin(theta) + (1.0 - beta) * theta)
+            # e^(r cos theta) and the phase carry ~r eps of rounding each
+            residue_scale = size * (1.0 + r)
+        damp = math.exp(-2.0 * math.pi * abs(dist) / _CONTOUR_STEP)
+        disc = size * damp / (1.0 - damp)
+    ar, ai, br, bi = _contour_nodes(alpha, beta, mu)
+    re = x * br + 1.0
+    im = x * bi
+    t = (re * ai - im * ar) / (re * re + im * im)  # Im(a conj(1 + x b)) / |1 + x b|^2
+    value = float(t.sum()) + residue
+    err = _CONTOUR_ROUNDING * (float(np.abs(t).sum()) + residue_scale) + disc
+    cert = err / abs(value) if value != 0.0 else math.inf
+    return value, cert, int(ar.size)
+
+
+@lru_cache(maxsize=32)
+def _asymptotic_coefficients(alpha: float, beta: float, cap: int) -> tuple[float, ...]:
+    """1/Gamma(beta - alpha k) for k = 1..cap; exactly 0.0 at the poles."""
+    return tuple(reciprocal_gamma(beta - alpha * k) for k in range(1, cap + 1))
+
+
 def _asymptotic_negative(params: MLParams, z: float, cap: int):
     """Algebraic expansion -sum_{k>=1} z^-k / Gamma(beta - alpha k).
 
@@ -422,8 +522,8 @@ def _asymptotic_negative(params: MLParams, z: float, cap: int):
     last_nz = None
     min_nz = None
     used = 0
-    for k in range(1, cap + 1):
-        term = zk * reciprocal_gamma(beta - alpha * k)
+    for k, coeff in enumerate(_asymptotic_coefficients(alpha, beta, cap), 1):
+        term = zk * coeff
         at = abs(term)
         if at > 0.0:
             if last_nz is not None and at >= last_nz:
@@ -465,28 +565,39 @@ def ml_eval_detailed(
     """Evaluate E[alpha, beta](z) and report the regime and terms used."""
     if policy is None:
         policy = default_policy(params)
+    z = float(z)  # a numpy scalar would slow every term of the double pass
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
     spectral = _spectral_applies(params, z)
-    if z >= -policy.asymptotic_switch:
+    inner = z >= -policy.asymptotic_switch
+    if inner:
         if spectral and _peak_log10_term(params, z) > _DOOMED_PEAK_LOG10:
             return _spectral(params, z)
         value, terms, lost = _series_double(params, z, policy)
-        if value is None:
-            if spectral:
-                return _spectral(params, z)
-            value, terms = _series_mp(params, z, policy, lost)
-        return MLResult(value, "series", terms)
-    if params.alpha >= 2.0:
-        raise UnsupportedRegimeError(
-            f"z = {z} below -asymptotic_switch with alpha = {params.alpha} >= 2 "
-            "is outside the accuracy contract"
-        )
-    asym = _asymptotic_negative(params, z, policy.asymptotic_terms)
-    if asym is not None and _CERT_SAFETY * asym[1] <= _TARGET_REL:
-        return MLResult(asym[0], "asymptotic", asym[2])
+        if value is not None:
+            return MLResult(value, "series", terms)
+    else:
+        if params.alpha >= 2.0:
+            raise UnsupportedRegimeError(
+                f"z = {z} below -asymptotic_switch with alpha = {params.alpha} >= 2 "
+                "is outside the accuracy contract"
+            )
+        asym = _asymptotic_negative(params, z, policy.asymptotic_terms)
+        if asym is not None and _CERT_SAFETY * asym[1] <= _TARGET_REL:
+            return MLResult(asym[0], "asymptotic", asym[2])
     if spectral:
         return _spectral(params, z)
+    if z < 0.0 and params.alpha < 2.0:
+        value, cert, nodes = _contour(params, -z)
+        if cert <= _TARGET_REL:
+            return MLResult(value, "contour", nodes)
+        if value != 0.0:
+            # Next to a zero of E the double pass's value is rounding noise,
+            # while the contour's still has the right magnitude.
+            lost = _peak_log10_term(params, z) - math.log10(abs(value))
+    if inner:
+        value, terms = _series_mp(params, z, policy, lost)
+        return MLResult(value, "series", terms)
     try:
         value, terms = _series_adaptive(params, z, policy)
         return MLResult(value, "series", terms)

@@ -52,7 +52,7 @@ class StepSingularError(ArithmeticError):
 
 
 class PicardDivergenceError(ArithmeticError):
-    """Iterate norms exploded; indicates a configuration bug."""
+    """The Picard iterates cannot converge, or their norms exploded."""
 
 
 @dataclass(frozen=True)
@@ -145,16 +145,24 @@ def picard_iterate(
 ) -> SolutionCurve:
     """Successive substitution on the same discrete system.
 
-    G^(0) = G_F, G^(i+1) = G_F - c^nu W G^(i).  On a fixed grid the discrete
-    Volterra operator is strictly lower triangular plus a small diagonal, so
-    the iterates converge to the implicit-march solution; the alarm fires
-    only when the iterate norm grows by more than a factor of 1e6, which
-    signals a configuration bug rather than mathematical divergence.
+    G^(0) = G_F, G^(i+1) = G_F - c^nu W G^(i).  W is strictly lower
+    triangular plus the diagonal c0 = h^nu / Gamma(nu + 2), so the iteration
+    matrix -c^nu W has spectral radius c^nu c0: the iterates can approach the
+    implicit-march solution only where c^nu c0 < 1, and even there the
+    lower-triangular part may make them grow for a while first.  Raises
+    PicardDivergenceError up front where c^nu c0 >= 1 (the grid is too
+    coarse), and when the iterate norm grows by more than a factor of 1e6.
     """
     if cfg.scheme != "picard":
         raise ValueError("picard_iterate requires scheme='picard'")
     weights, P, G_F = _prepare(problem, cfg, weights)
     cn = problem.rate_factor
+    if cn * weights.c0 >= 1.0:
+        raise PicardDivergenceError(
+            f"c^nu c0 = {cn * weights.c0:.3e} >= 1: the diagonal of the discrete "
+            f"operator makes the Picard iteration diverge on {cfg.grid.n} steps; "
+            "use a larger n"
+        )
     G = G_F.copy()
     base_norm = max(1.0, float(np.max(np.abs(G_F))))
     for _ in range(cfg.picard_iterations):

@@ -7,8 +7,10 @@ from scipy.special import erfc
 
 from conftest import ml_reference, ml_reference_negative
 from fracrelax.grids import DomainError, GridMismatchError, UniformGrid
+from fracrelax import kinetics
 from fracrelax.kinetics import (
     KineticProblem,
+    RelaxationInvariantError,
     SolutionCurve,
     auto_peel_depth,
     closed_form_curve,
@@ -211,6 +213,59 @@ class TestCurves:
             assert v2 == pytest.approx(v1, abs=1e-14 * max(1.0, abs(v1)))
             assert v3 == v1
             assert v4 == v2
+
+
+class TestRelaxationInvariant:
+    def test_true_curves_pass(self):
+        for nu in (0.3, 0.7, 1.0):
+            p = KineticProblem(nu=nu, c=1.0, N_a=-2.0)
+            curve = closed_form_curve(p, UniformGrid.from_span(0.0, 40.0, 400))
+            kinetics._check_relaxation_invariant(p, curve.values[1:] / p.N_a)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda r: r.__setitem__(30, r[29] * (1.0 + 1e-12)),  # increases
+        lambda r: r.__setitem__(0, 1.0 + 1e-15),             # above N_a
+        lambda r: r.__setitem__(50, -r[50]),                  # negative
+        lambda r: r.__setitem__(50, 0.0),                     # vanishes, nu < 1
+        lambda r: r.__setitem__(70, math.nan),
+    ])
+    def test_corrupted_curve_raises(self, corrupt):
+        p = KineticProblem(nu=0.6, c=1.0, N_a=1.0)
+        ratio = closed_form_curve(p, UniformGrid.from_span(0.0, 5.0, 100)).values[1:]
+        corrupt(ratio)
+        with pytest.raises(RelaxationInvariantError):
+            kinetics._check_relaxation_invariant(p, ratio)
+
+    def test_underflow_to_zero_allowed_only_for_exponential(self):
+        ratio = np.exp(-np.linspace(8.0, 800.0, 100))  # 0.0 from e^-746 on
+        assert ratio[-1] == 0.0
+        kinetics._check_relaxation_invariant(KineticProblem(nu=1.0, c=1.0, N_a=1.0), ratio)
+        with pytest.raises(RelaxationInvariantError):
+            kinetics._check_relaxation_invariant(KineticProblem(nu=0.99, c=1.0, N_a=1.0), ratio)
+
+    def test_closed_form_curve_checks_its_values(self, monkeypatch):
+        # the kind of value the series ladder once returned: E[0.6](-10) = 26489.86
+        real = kinetics.ml_eval
+        calls = []
+
+        def corrupted(params, z):
+            calls.append(z)
+            return 26489.86 if len(calls) == 51 else real(params, z)
+
+        monkeypatch.setattr(kinetics, "ml_eval", corrupted)
+        with pytest.raises(RelaxationInvariantError, match="node 51"):
+            closed_form_curve(KineticProblem(nu=0.6, c=1.0, N_a=1.0),
+                              UniformGrid.from_span(0.0, 40.0, 100))
+
+    def test_curve_matches_pointwise_solutions(self):
+        # the curve and the pointwise forms share E and the prefactor
+        for p in (KineticProblem(nu=0.6, c=1.3, N_a=2.0),
+                  KineticProblem(nu=0.7, c=1.0, N_a=1.7, mu=1.5)):
+            g = UniformGrid.from_span(0.0, 40.0, 200)
+            curve = closed_form_curve(p, g)
+            solution = relaxation_solution if p.mu is None else power_source_solution
+            for t, v in zip(g.times()[1:], curve.values[1:]):
+                assert v == solution(p, t)
 
 
 class TestIntegralResidual:

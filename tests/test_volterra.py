@@ -180,10 +180,22 @@ class TestPicard:
         # F - c I(F) = 1 - c t for F = 1, up to quadrature roundoff
         assert np.allclose(one.values, 1.0 - 0.01 * t, atol=1e-12)
 
+    def test_coarse_grid_rejected_up_front(self):
+        # one step of T = 5/c: c^nu c0 = (5 c / c)^0.5 / Gamma(2.5) = 1.68
+        p = KineticProblem(nu=0.5, c=2.7, N_a=1.3)
+        g = UniformGrid.from_span(0.0, p.default_span(), 1)
+        with pytest.raises(PicardDivergenceError, match=r"c\^nu c0 = 1\.68.*larger n"):
+            picard_iterate(p, OracleConfig(grid=g, scheme="picard"))
+        # three steps bring c^nu c0 to 0.97: the iteration runs
+        g = UniformGrid.from_span(0.0, p.default_span(), 3)
+        picard_iterate(p, OracleConfig(grid=g, scheme="picard"))
+
     def test_divergence_alarm(self):
+        # c^nu c0 = 1000 * 0.001 / 2 = 0.5 passes the up-front check, but the
+        # lower-triangular part still drives the iterate norm past 1e6
         p = KineticProblem(nu=1.0, c=1000.0, N_a=1.0)
-        g = UniformGrid.from_span(0.0, 5.0, 50)
-        with pytest.raises(PicardDivergenceError):
+        g = UniformGrid.from_span(0.0, 5.0, 5000)
+        with pytest.raises(PicardDivergenceError, match="iterate norm"):
             picard_iterate(
                 p, OracleConfig(grid=g, scheme="picard", picard_iterations=30)
             )
