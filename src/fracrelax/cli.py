@@ -169,8 +169,9 @@ def _cmd_ml(args) -> int:
             lines.append(
                 f"{format_real(z)},{format_real(res.value)},{res.regime},{res.terms}"
             )
-        except (UnsupportedRegimeError, MLOverflowError, SeriesConvergenceError):
+        except (UnsupportedRegimeError, MLOverflowError, SeriesConvergenceError) as e:
             lines.append(f"{format_real(z)},NA,error,0")
+            print(f"z={format_real(z)}: {type(e).__name__}: {e}", file=sys.stderr)
     _emit("\n".join(lines) + "\n", args.out, data_to_stdout=True)
     return 0
 
@@ -201,9 +202,7 @@ def _cmd_solve(args) -> int:
         curve = solve_volterra(problem, OracleConfig(grid=grid))
         closed = closed_form_curve(problem, grid)
         start = 1 if curve.singular_start else 0
-        gap = max(
-            abs(curve.values[j] - closed.values[j]) for j in range(start, grid.n + 1)
-        )
+        gap = abs(curve.values[start:] - closed.values[start:]).max()
         print(f"max |oracle - closed| = {gap:.6e}", file=sys.stderr)
     times = grid.times()
     lines = ["t,N"]

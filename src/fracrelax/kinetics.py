@@ -208,17 +208,18 @@ def neumann_term(problem: KineticProblem, m: int) -> tuple[float, float]:
 
 
 def neumann_partial_sum(problem: KineticProblem, t: float, M: int) -> float:
-    """Partial sum of the Neumann series through term M at time t."""
-    if M < 0:
-        raise DomainError(f"M must be >= 0, got {M}")
+    """Neumann partial sum through term M at t: M + 1 coefficient pairs and powers."""
     if not t > problem.a:
         raise DomainError(f"t must exceed a={problem.a!r}, got {t!r}")
-    dt = t - problem.a
-    total = 0.0
-    for m in range(M + 1):
-        coef, expo = neumann_term(problem, m)
-        total += coef * (dt**expo if expo != 0.0 else 1.0)
-    return total
+    return float(_neumann_sum(problem, np.array([t - problem.a]), M)[0])
+
+
+def _neumann_sum(problem: KineticProblem, dt: np.ndarray, M: int) -> np.ndarray:
+    """Terms m = 0..M added in ascending order, each an array power over dt > 0."""
+    if M < 0:
+        raise DomainError(f"M must be >= 0, got {M}")
+    terms = (neumann_term(problem, m) for m in range(M + 1))
+    return sum(coef * dt**expo for coef, expo in terms)
 
 
 def _start_value(problem: KineticProblem) -> float:
@@ -283,22 +284,23 @@ def closed_form_curve(problem: KineticProblem, grid: UniformGrid) -> SolutionCur
 
 
 def neumann_curve(problem: KineticProblem, grid: UniformGrid, M: int) -> SolutionCurve:
-    """Sample the M-term Neumann partial sum on a grid."""
+    """Sample the M-term Neumann partial sum on a grid.
+
+    Costs M + 1 coefficient pairs per curve plus M + 1 array powers over
+    the nodes, whatever the grid size.
+    """
     _require_grid(problem, grid)
-    times = grid.times()
     values = np.empty(grid.n + 1)
-    mu_eff = problem.mu_eff
     # At t = a every term with positive exponent vanishes, leaving the same
     # limit as the closed form.
     values[0] = _start_value(problem)
-    for j in range(1, grid.n + 1):
-        values[j] = neumann_partial_sum(problem, times[j], M)
+    values[1:] = _neumann_sum(problem, grid.times()[1:] - problem.a, M)
     return SolutionCurve(
         problem=problem,
         grid=grid,
         values=values,
         method_tag="neumann",
-        singular_start=mu_eff < 1.0,
+        singular_start=problem.mu_eff < 1.0,
     )
 
 

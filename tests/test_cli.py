@@ -42,9 +42,13 @@ class TestMlCommand:
     def test_error_marker_row_continues(self, capsys):
         rc = main(["ml", "--alpha", "1", "--beta", "1", "--z", "800", "-1"])
         assert rc == 0
-        _, rows = parse_csv(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        _, rows = parse_csv(captured.out)
         assert rows[0][1] == "NA" and rows[0][2] == "error" and rows[0][3] == "0"
         assert float(rows[1][1]) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        named = captured.err.splitlines()
+        assert len(named) == 1
+        assert named[0].startswith(f"z={rows[0][0]}: MLOverflowError: ")
 
     def test_invalid_params_exit_2(self, capsys):
         assert main(["ml", "--alpha", "-1", "--z", "0"]) == 2

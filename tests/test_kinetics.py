@@ -166,6 +166,66 @@ class TestNeumann:
         p = KineticProblem(nu=0.5, c=1.0, N_a=1.0)
         with pytest.raises(DomainError):
             neumann_partial_sum(p, 1.0, -1)
+        with pytest.raises(DomainError):
+            neumann_curve(p, UniformGrid.from_span(0.0, 1.0, 10), -1)
+
+
+class TestNeumannCurve:
+    """The array partial sum against a per-node Python-float sum."""
+
+    PROBLEMS = [
+        KineticProblem(nu=0.5, c=1.0, N_a=1.0),
+        KineticProblem(nu=0.1, c=2.7, N_a=0.5),
+        KineticProblem(nu=1.0, c=1.3, N_a=2.0),
+        KineticProblem(nu=2.0, c=0.8, N_a=1.0),
+        KineticProblem(nu=0.37, c=1.9, N_a=1.5, a=0.25),
+        KineticProblem(nu=0.6, c=1.0, N_a=1.0, mu=0.5),
+        KineticProblem(nu=0.2, c=2.0, N_a=1.0, mu=0.3),
+        KineticProblem(nu=0.9, c=1.0, N_a=2.0, mu=2.0),
+        KineticProblem(nu=1.7, c=0.6, N_a=1.0, mu=1.5),
+    ]
+
+    @staticmethod
+    def reference(problem, t, M):
+        # The per-node loop: one Python float power per term.
+        dt = t - problem.a
+        total = scale = 0.0
+        for m in range(M + 1):
+            coef, expo = neumann_term(problem, m)
+            term = coef * (dt**expo if expo != 0.0 else 1.0)
+            total += term
+            scale += abs(term)
+        return total, scale
+
+    @pytest.mark.parametrize("M", [0, 1, 30])
+    @pytest.mark.parametrize("problem", PROBLEMS, ids=str)
+    def test_matches_per_node_sum(self, problem, M):
+        grid = UniformGrid.from_span(problem.a, problem.default_span(), 200)
+        curve = neumann_curve(problem, grid, M)
+        for j, t in enumerate(grid.times()[1:], start=1):
+            ref, scale = self.reference(problem, t, M)
+            assert abs(curve.values[j] - ref) <= 4 * np.finfo(float).eps * scale
+            assert neumann_partial_sum(problem, t, M) == curve.values[j]
+        assert curve.singular_start == (problem.mu_eff < 1.0)
+
+    def test_coefficients_once_per_curve(self, monkeypatch):
+        calls = []
+
+        def spy(fn):
+            def wrapped(x):
+                calls.append(x)
+                return fn(x)
+
+            return wrapped
+
+        monkeypatch.setattr(kinetics, "gamma", spy(kinetics.gamma))
+        monkeypatch.setattr(
+            kinetics, "reciprocal_gamma", spy(kinetics.reciprocal_gamma)
+        )
+        p = KineticProblem(nu=0.5, c=1.0, N_a=1.0)
+        M = 30
+        neumann_curve(p, UniformGrid.from_span(0.0, 5.0, 1000), M)
+        assert 0 < len(calls) <= 2 * (M + 1)
 
 
 class TestCurves:
