@@ -60,6 +60,7 @@ from .volterra import (
     OracleConfig,
     PicardDivergenceError,
     StepSingularError,
+    UnstableResolventError,
     picard_iterate,
     solve_volterra,
 )
@@ -108,6 +109,7 @@ __all__ = [
     "differential_equation_residual",
     "OracleConfig",
     "StepSingularError",
+    "UnstableResolventError",
     "PicardDivergenceError",
     "solve_volterra",
     "picard_iterate",

@@ -13,7 +13,9 @@ Output files are byte-reproducible: fixed 17-significant-digit formatting,
 no timestamps in data (timings go to the summary channel only).  Singular
 nodes are emitted as the literal token NA.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/validation error.
+Exit codes: 0 success, 1 verification failure, 2 usage/validation error or
+a typed numerical refusal (an ArithmeticError such as
+SeriesConvergenceError), reported on one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -272,6 +274,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # the typed numerical refusals
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -50,6 +50,7 @@ __all__ = [
     "neumann_term",
     "neumann_partial_sum",
     "closed_form_curve",
+    "restrict_curve",
     "neumann_curve",
     "auto_peel_depth",
     "peeled_source",
@@ -171,12 +172,7 @@ def power_source_solution(problem: KineticProblem, t: float) -> float:
     if not t > problem.a:
         raise DomainError(f"t must exceed a={problem.a!r}, got {t!r}")
     e = ml_eval(MLParams(problem.nu, problem.mu), problem.decay_argument(t))
-    return _power_source_factor(problem, t - problem.a) * e
-
-
-def _power_source_factor(problem: KineticProblem, dt):
-    """N_a Gamma(mu) dt^(mu-1), the factor of E[nu, mu] in the power-source form."""
-    return problem.N_a * gamma(problem.mu) * dt ** (problem.mu - 1.0)
+    return problem.N_a * gamma(problem.mu) * (t - problem.a) ** (problem.mu - 1.0) * e
 
 
 def power_source_solution_origin(
@@ -259,13 +255,18 @@ def _check_relaxation_invariant(problem: KineticProblem, ratio: np.ndarray) -> N
 def closed_form_curve(problem: KineticProblem, grid: UniformGrid) -> SolutionCurve:
     """Sample the closed-form solution on a grid, one evaluation of E per node.
 
-    Plain curves with 0 < nu <= 1 are checked against the relaxation
-    invariant before they are returned.
+    The arguments -c^nu (t-a)^nu and the power-source factors are formed
+    node by node on Python floats, so every value is bitwise the one that
+    ``relaxation_solution`` or ``power_source_solution`` returns (numpy's
+    array power rounds differently at some nodes).  Plain curves with
+    0 < nu <= 1 are checked against the relaxation invariant before they
+    are returned.
     """
     _require_grid(problem, grid)
-    times = grid.times()[1:]
+    times = grid.times()[1:].tolist()
     params = MLParams(problem.nu, problem.mu_eff)
-    e = np.array([ml_eval(params, problem.decay_argument(t)) for t in times])
+    cn, a, nu = problem.rate_factor, problem.a, problem.nu
+    e = np.array([ml_eval(params, -cn * (t - a) ** nu) for t in times])
     values = np.empty(grid.n + 1)
     values[0] = _start_value(problem)
     if problem.mu is None:
@@ -273,13 +274,40 @@ def closed_form_curve(problem: KineticProblem, grid: UniformGrid) -> SolutionCur
             _check_relaxation_invariant(problem, e)
         values[1:] = problem.N_a * e
     else:
-        values[1:] = _power_source_factor(problem, times - problem.a) * e
+        scale, expo = problem.N_a * gamma(problem.mu), problem.mu - 1.0
+        values[1:] = np.array([scale * (t - a) ** expo for t in times]) * e
     return SolutionCurve(
         problem=problem,
         grid=grid,
         values=values,
         method_tag="closed_form",
         singular_start=problem.mu_eff < 1.0,
+    )
+
+
+def restrict_curve(curve: SolutionCurve, grid: UniformGrid) -> SolutionCurve:
+    """The curve on a grid whose nodes are bitwise every m-th node of curve.grid.
+
+    Grids over one span whose step counts differ by a power of two nest
+    like that, so the restriction of a closed-form curve equals the curve
+    sampled on the coarse grid.  A plain closed-form curve with
+    0 < nu <= 1 is checked against the relaxation invariant again, on the
+    coarse nodes' N/N_a.
+    """
+    m, rest = divmod(curve.grid.n, grid.n)
+    if rest or not np.array_equal(grid.times(), curve.grid.times()[::m]):
+        raise GridMismatchError(f"{grid} is not a restriction of {curve.grid}")
+    values = curve.values[::m].copy()
+    problem = curve.problem
+    if (curve.method_tag == "closed_form" and problem.mu is None
+            and 0.0 < problem.nu <= 1.0 and problem.N_a != 0.0):
+        _check_relaxation_invariant(problem, values[1:] / problem.N_a)
+    return SolutionCurve(
+        problem=problem,
+        grid=grid,
+        values=values,
+        method_tag=curve.method_tag,
+        singular_start=curve.singular_start,
     )
 
 

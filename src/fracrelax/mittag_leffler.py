@@ -11,9 +11,13 @@ to ~1e-13 relative:
    summation.  A rounding estimate built from the largest partial sum and
    the term count decides whether the result can be trusted.  It is kept
    wherever it certifies, because there it is accurate to a few ulp, which
-   the Neumann-envelope checks at |z| <= 1 rely on.  Where the spectral
-   regime covers z and the analytic peak term already rules the
-   certificate out, the pass is skipped.
+   the Neumann-envelope checks at |z| <= 1 rely on.  For z = -x < -1 and
+   alpha < 2 the series' peak term T_k, near k = x^(1/alpha)/alpha, gives
+   a floor eps (4 + 2 sqrt(k)) T_k on that estimate for every pass that
+   can certify.  Where a cheap guess of |E| says the floor may exceed
+   1e-13 |E|, the quadrature below is evaluated first, and its value is
+   returned without the pass once the floor exceeds 1.02e-13 times it: the
+   pass provably fails there.  The skip never changes a value.
 2. Asymptotic, for z < -asymptotic_switch: the algebraic expansion
 
        E[alpha, beta](z) ~ -sum_{k>=1} z^-k / Gamma(beta - alpha k)
@@ -34,23 +38,29 @@ to ~1e-13 relative:
    e^u as u -> -inf for every alpha, so one node range serves all alpha;
    it is analytic in |Im u| < d = min(pi (1-alpha), alpha pi/2), so the
    step h = 2 pi d / 40 keeps the discretisation error near e^-40.  All
-   terms are positive; nothing cancels.  Alpha so close to 0 or 1 that the
-   strip needs more than _SPECTRAL_MAX_NODES nodes is left to the contour.
+   terms are positive; nothing cancels.  The weights and exp(u/alpha) are
+   tabulated per alpha, so a node costs one exp over the window of u where
+   its term can matter, found by index arithmetic.  Alpha so close to 0 or
+   1 that the strip needs more than _SPECTRAL_MAX_NODES nodes, or x so far
+   out that the table's clipped exponent would matter, is left to the
+   contour.
 4. Contour, for z = -x < 0 and alpha < 2: the Bromwich integral
 
        E[alpha, beta](-x) = 1/(2 pi i) int_C e^s s^(alpha-beta)/(s^alpha + x) ds
 
    on the parabola s = mu (1 + iu)^2 (Weideman & Trefethen, Math. Comp. 76,
    2007), by the trapezoid rule in u with step _CONTOUR_STEP.  The contour
-   data depend only on (alpha, beta, mu) and are cached, so x enters only
-   as 1/(1 + x s^-alpha).  The branch cut on the negative axis lies on
-   Im u = 1 for every mu.  For 1 < alpha < 2 the poles s^alpha = -x, at
-   s = x^(1/alpha) e^(+-i pi/alpha), are kept at least _POLE_MARGIN from
-   the contour in the u-plane by lowering mu where needed, and the residues
-   (2/alpha) Re(e^s s^(1-beta)) of the poles outside it are added (Garrappa,
-   SIAM J. Numer. Anal. 53, 2015).  The certificate is _CONTOUR_ROUNDING
-   times the sum of |terms| and the residue's scale, plus the discretisation
-   error of the poles, relative to |value|; it fails next to a zero of E
+   data c = w e^s s^(alpha-beta) ds/du and s^alpha depend only on
+   (alpha, beta, mu) and are cached, so a node costs one complex addition
+   and division: Im(c / (s^alpha + x)).  The branch cut on the negative
+   axis lies on Im u = 1 for every mu.  For 1 < alpha < 2 the poles
+   s^alpha = -x, at s = x^(1/alpha) e^(+-i pi/alpha), are kept at least
+   _POLE_MARGIN from the contour in the u-plane by lowering mu where
+   needed, and the residues (2/alpha) Re(e^s s^(1-beta)) of the poles
+   outside it are added (Garrappa, SIAM J. Numer. Anal. 53, 2015).  The
+   certificate is _CONTOUR_ROUNDING times the sum of |terms| and the
+   residue's scale, plus the discretisation error of the poles, relative
+   to |value|; it fails next to a zero of E
    (e.g. E[0.7, 0.5] at x = 1.6535) and where E is exponentially small
    (alpha = beta = 1 beyond x ~ 8).
 5. mpmath series, for the few nodes no regime above certifies: the series
@@ -102,9 +112,6 @@ _MAX_DPS = 1200
 _MP_ROUNDS = 6
 # exp overflows past ~709; E[alpha](z) ~ exp(z^(1/alpha))/alpha for z -> +inf.
 _EXP_OVERFLOW = 708.0
-# 0 < E[alpha](-x) <= 1 for 0 < alpha < 1, so the double pass cannot meet its
-# certificate once 4 eps times the peak term exceeds the target.
-_DOOMED_PEAK_LOG10 = math.log10(_TARGET_REL / (4.0 * _EPS))
 # Spectral quadrature: exp(-_SPECTRAL_LOG_EPS) bounds the discretisation and
 # truncation errors; arguments up to _SPECTRAL_X_MAX are covered by the node
 # range, and the strip may not demand more than _SPECTRAL_MAX_NODES nodes.
@@ -114,6 +121,13 @@ _SPECTRAL_MAX_NODES = 100_000
 _SPECTRAL_U_MIN = -_SPECTRAL_LOG_EPS - math.log(_SPECTRAL_X_MAX)
 # exp(-y) is exactly 0.0 in double for y >= 746.
 _LOG_EXP_UNDERFLOW = math.log(746.0)
+# The table exp(u/alpha) has its exponent clipped to +-_EXP_CLIP, so that
+# neither it nor x^(1/alpha) times it overflows.  The clip changes no term
+# while _SPECTRAL_LOG_Y[0] <= log(x)/alpha <= _SPECTRAL_LOG_Y[1]: clipped
+# nodes above lie outside the window, and clipped nodes below still give
+# exp(-x^(1/alpha) g) = 1.0 exactly, as x^(1/alpha) g < e^-38 < 2^-54 there.
+_EXP_CLIP = 708.0
+_SPECTRAL_LOG_Y = (-700.0, 670.0)
 # Contour quadrature: parabola scale, trapezoid step in u, and the decay
 # e^(mu (1 - U^2)) = e^-_CONTOUR_LOG_EPS of e^s at the last node u = U.  The
 # cut at Im u = 1 leaves a discretisation error near e^(-2 pi / h) = e^-63.
@@ -123,8 +137,15 @@ _CONTOUR_LOG_EPS = 45.0
 # Poles stay this far from the contour in the u-plane; their discretisation
 # error e^(-2 pi margin / h) is ~4e-17 of their residue.
 _POLE_MARGIN = 0.6
-# Rounding of one contour term, as a multiple of its magnitude.
+# Rounding of the contour sum, as a multiple of the sum of |terms|: measured
+# at most 2.14 eps, against exact references, over the 12 971 contour values
+# of a closed_form and a verify benchmark round and a scan of alpha in
+# [0.1, 1.9], beta in {alpha, 0.5, 1, 1.3, 1.5, 2}.
 _CONTOUR_ROUNDING = 4.0 * _EPS
+# A certified double pass at z would lie within ~1e-13 of |E| and so of the
+# quadrature's value; a floor on its rounding estimate this far above
+# 1e-13 |value| proves that it fails.
+_SKIP_MARGIN = 1.02
 
 
 class SeriesConvergenceError(ArithmeticError):
@@ -340,6 +361,66 @@ def _series_double(params: MLParams, z: float, policy: MLEvalPolicy):
     return None, k, lost
 
 
+def _pass_floor(params: MLParams, z: float, policy: MLEvalPolicy) -> float:
+    """Floor on the rounding estimate of a certifying double pass at z = -x.
+
+    The term sizes T_j = x^j / Gamma(alpha j + beta) are log-concave in j:
+    they rise to one peak and then fall.  With k the better of
+    floor(x^(1/alpha)/alpha) and the index after it, near the peak, the
+    floor is eps (4 + 2 sqrt(k)) T_k, used only where x > 1 and T_k >= 1
+    (else 0 is returned):
+
+    * a pass that adds term k has max_mag >= T_k and more than k terms;
+    * a pass that stops while its terms still rise has summed less than
+      max_terms series_tol <= 1e-2 of max(|E|, 1), while its estimate is
+      at least 6 eps: it cannot certify;
+    * a pass that stops after the peak but before k has T_k below
+      series_tol max(|E|, 1), so |E| > T_k / series_tol, far above the
+      |E| < 1e-2 (4 + 2 sqrt(k)) T_k at which the floor rules a pass out.
+
+    The factor 1 - 1e-9 covers the rounding of T_k and of the pass's terms.
+    """
+    alpha, beta = params.alpha, params.beta
+    if z >= -1.0 or alpha >= 2.0 or policy.series_tol * policy.max_terms > 1e-2:
+        return 0.0
+    lx = math.log(-z)
+    k_star = math.exp(lx / alpha) / alpha
+    if k_star > policy.max_terms:
+        return 0.0
+    k = math.floor(k_star)
+    log_t = k * lx - math.lgamma(alpha * k + beta)
+    up = (k + 1) * lx - math.lgamma(alpha * (k + 1) + beta)
+    if up > log_t:
+        k, log_t = k + 1, up
+    if log_t < 0.0:
+        return 0.0
+    t_k = math.exp(min(log_t, 700.0))
+    return _EPS * (4.0 + 2.0 * math.sqrt(k)) * t_k * (1.0 - 1e-9)
+
+
+@lru_cache(maxsize=64)
+def _size_guess(alpha: float, beta: float) -> tuple[float, float, float]:
+    """(a, b, c) with |E[alpha, beta](-x)| ~ a / (b + c x) for x > 1.
+
+    For alpha < 1, 1/Gamma(beta) times the lower bound
+    1/(1 + Gamma(1-alpha) x) of E[alpha](-x); for alpha >= 1, the leading
+    asymptotic term |1/Gamma(beta-alpha)| / x.
+    """
+    if alpha < 1.0:
+        return reciprocal_gamma(beta), 1.0, math.gamma(1.0 - alpha)
+    return abs(reciprocal_gamma(beta - alpha)), 0.0, 1.0
+
+
+def _pass_looks_doomed(params: MLParams, x: float, floor: float) -> bool:
+    """Cheap guess whether ``floor`` exceeds 1e-13 |E[alpha, beta](-x)|.
+
+    It only decides whether the quadrature is evaluated before the double
+    pass or after it fails, never which value is returned.
+    """
+    a, b, c = _size_guess(params.alpha, params.beta)
+    return floor * (b + c * x) > _TARGET_REL * a
+
+
 def _series_mp(params: MLParams, z: float, policy: MLEvalPolicy, lost: float):
     """Escalating mpmath passes, starting from ``lost`` digits of headroom.
 
@@ -388,36 +469,40 @@ def _spectral_step(alpha: float) -> float:
 
 def _spectral_applies(params: MLParams, z: float) -> bool:
     """Whether the spectral quadrature covers E[alpha, beta](z)."""
-    if not (0.0 < params.alpha < 1.0 and params.beta == 1.0):
+    alpha = params.alpha
+    if not (0.0 < alpha < 1.0 and params.beta == 1.0):
         return False
     if not -_SPECTRAL_X_MAX <= z < 0.0:
         return False
     span = _SPECTRAL_LOG_EPS - _SPECTRAL_U_MIN
-    return span / _spectral_step(params.alpha) <= _SPECTRAL_MAX_NODES
+    if span / _spectral_step(alpha) > _SPECTRAL_MAX_NODES:
+        return False
+    return _SPECTRAL_LOG_Y[0] <= math.log(-z) / alpha <= _SPECTRAL_LOG_Y[1]
 
 
 @lru_cache(maxsize=8)
-def _spectral_nodes(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes u = log rho and trapezoid weights of the spectral integral.
+def _spectral_nodes(alpha: float) -> tuple[int, float, np.ndarray, np.ndarray]:
+    """Nodes u = h (k0 + i) = log rho of the spectral integral: (k0, h, w, g).
 
-    The range [-40 - log(_SPECTRAL_X_MAX), 40] leaves out tails below
-    e^-40 of the value: the integrand is ~ rho near 0, where E[alpha](-x)
-    >~ 1/x, and ~ 1/rho at infinity.  Writing the denominator as
+    w are the trapezoid weights and g = exp(u/alpha), so that the node's
+    factor exp(-(x rho)^(1/alpha)) is exp(-x^(1/alpha) g).  The range
+    [-40 - log(_SPECTRAL_X_MAX), 40] leaves out tails below e^-40 of the
+    value: the integrand is ~ rho near 0, where E[alpha](-x) >~ 1/x, and
+    ~ 1/rho at infinity.  Writing the denominator as
     (rho - 1)^2 + 4 rho cos^2(alpha pi / 2) keeps it free of cancellation
     as alpha -> 1.
     """
     h = _spectral_step(alpha)
-    k = np.arange(
-        math.floor(_SPECTRAL_U_MIN / h), math.ceil(_SPECTRAL_LOG_EPS / h) + 1
-    )
-    u = h * k
+    k0 = math.floor(_SPECTRAL_U_MIN / h)
+    u = h * np.arange(k0, math.ceil(_SPECTRAL_LOG_EPS / h) + 1)
     rho = np.exp(u)
     cos_half = math.cos(0.5 * math.pi * alpha)
     scale = h * math.sin(math.pi * alpha) / (math.pi * alpha)
     w = scale * rho / ((rho - 1.0) ** 2 + 4.0 * cos_half * cos_half * rho)
-    u.setflags(write=False)  # shared by every caller through the cache
-    w.setflags(write=False)
-    return u, w
+    g = np.exp(np.clip(u / alpha, -_EXP_CLIP, _EXP_CLIP))
+    w.setflags(write=False)  # shared by every caller through the cache
+    g.setflags(write=False)
+    return k0, h, w, g
 
 
 def _spectral(params: MLParams, z: float) -> MLResult:
@@ -426,27 +511,28 @@ def _spectral(params: MLParams, z: float) -> MLResult:
     Only nodes where the integrand can matter are summed: below
     -40 - log x it is under e^-40 of the value, and above
     alpha log(746) - log x the factor exp(-(x rho)^(1/alpha)) is exactly
-    zero in double.
+    zero in double.  The window follows from the uniform u by index
+    arithmetic.
     """
     alpha = params.alpha
-    u, w = _spectral_nodes(alpha)
+    k0, h, w, g = _spectral_nodes(alpha)
     lx = math.log(-z)
-    lo = -_SPECTRAL_LOG_EPS - max(lx, 0.0)
-    hi = alpha * _LOG_EXP_UNDERFLOW - lx
-    i0, i1 = np.searchsorted(u, (lo, hi))
-    decay = np.exp(-np.exp((u[i0:i1] + lx) / alpha))
-    return MLResult(float(np.sum(w[i0:i1] * decay)), "spectral", int(i1 - i0))
+    i0 = max(math.ceil((-_SPECTRAL_LOG_EPS - max(lx, 0.0)) / h) - k0, 0)
+    i1 = math.ceil((alpha * _LOG_EXP_UNDERFLOW - lx) / h) - k0
+    decay = np.exp(g[i0:i1] * -math.exp(lx / alpha))
+    return MLResult(float(np.dot(w[i0:i1], decay)), "spectral", decay.size)
 
 
 @lru_cache(maxsize=32)
 def _contour_nodes(alpha: float, beta: float, mu: float):
-    """Contour data (Re a, Im a, Re b, Im b) for the parabola of scale mu.
+    """Contour data (c, e) for the parabola of scale mu.
 
     With s = mu (1 + iu)^2 and trapezoid weight w (halved at u = 0),
-    a = w e^s s^-beta ds/du and b = s^-alpha, so that the node u contributes
-    Im(a / (1 + x b)); the symmetry s(-u) = conj(s(u)) folds u < 0 onto
-    u > 0, hence the weight h/pi instead of h/(2 pi).  log s is formed as
-    log mu + 2 log(1 + iu), the principal branch since |arg(1 + iu)| < pi/2.
+    c = w e^s s^(alpha-beta) ds/du and e = s^alpha, so that the node u
+    contributes Im(c / (e + x)); the symmetry s(-u) = conj(s(u)) folds u < 0
+    onto u > 0, hence the weight h/pi instead of h/(2 pi).  log s is formed
+    as log mu + 2 log(1 + iu), the principal branch since
+    |arg(1 + iu)| < pi/2.
     """
     h = _CONTOUR_STEP
     u = h * np.arange(math.ceil(math.sqrt(1.0 + _CONTOUR_LOG_EPS / mu) / h) + 1)
@@ -454,12 +540,11 @@ def _contour_nodes(alpha: float, beta: float, mu: float):
     log_s = math.log(mu) + 2.0 * np.log(one_iu)
     w = np.full(u.size, h / math.pi)
     w[0] *= 0.5
-    a = w * np.exp(mu * one_iu * one_iu - beta * log_s) * (2j * mu) * one_iu
-    b = np.exp(-alpha * log_s)
-    parts = (a.real.copy(), a.imag.copy(), b.real.copy(), b.imag.copy())
-    for p in parts:
-        p.setflags(write=False)  # shared by every caller through the cache
-    return parts
+    c = w * np.exp(mu * one_iu * one_iu + (alpha - beta) * log_s) * (2j * mu) * one_iu
+    e = np.exp(alpha * log_s)
+    c.setflags(write=False)  # shared by every caller through the cache
+    e.setflags(write=False)
+    return c, e
 
 
 def _contour(params: MLParams, x: float):
@@ -491,14 +576,12 @@ def _contour(params: MLParams, x: float):
             residue_scale = size * (1.0 + r)
         damp = math.exp(-2.0 * math.pi * abs(dist) / _CONTOUR_STEP)
         disc = size * damp / (1.0 - damp)
-    ar, ai, br, bi = _contour_nodes(alpha, beta, mu)
-    re = x * br + 1.0
-    im = x * bi
-    t = (re * ai - im * ar) / (re * re + im * im)  # Im(a conj(1 + x b)) / |1 + x b|^2
+    c, e = _contour_nodes(alpha, beta, mu)
+    t = (c / (e + x)).imag
     value = float(t.sum()) + residue
     err = _CONTOUR_ROUNDING * (float(np.abs(t).sum()) + residue_scale) + disc
     cert = err / abs(value) if value != 0.0 else math.inf
-    return value, cert, int(ar.size)
+    return value, cert, t.size
 
 
 @lru_cache(maxsize=32)
@@ -560,6 +643,27 @@ def ml_series(params: MLParams, z: float, policy: MLEvalPolicy | None = None) ->
     return value
 
 
+def _quadrature(params: MLParams, z: float):
+    """The certified quadrature that covers z, as (MLResult or None, lost).
+
+    The spectral value needs no certificate.  An uncertified contour value
+    yields None, with the digits the series cancels by (from its peak term
+    and the contour's value) in ``lost``: next to a zero of E the double
+    pass's value is rounding noise, while the contour's still has the right
+    magnitude.
+    """
+    if _spectral_applies(params, z):
+        return _spectral(params, z), None
+    if not (z < 0.0 and params.alpha < 2.0):
+        return None, None
+    value, cert, nodes = _contour(params, -z)
+    if cert <= _TARGET_REL:
+        return MLResult(value, "contour", nodes), None
+    if value == 0.0:
+        return None, None
+    return None, _peak_log10_term(params, z) - math.log10(abs(value))
+
+
 def ml_eval_detailed(
     params: MLParams, z: float, policy: MLEvalPolicy | None = None
 ) -> MLResult:
@@ -569,11 +673,15 @@ def ml_eval_detailed(
     z = float(z)  # a numpy scalar would slow every term of the double pass
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
-    spectral = _spectral_applies(params, z)
     inner = z >= -policy.asymptotic_switch
+    quadrature = None  # (MLResult or None, lost) once evaluated
     if inner:
-        if spectral and _peak_log10_term(params, z) > _DOOMED_PEAK_LOG10:
-            return _spectral(params, z)
+        floor = _pass_floor(params, z, policy)
+        if floor > 0.0 and _pass_looks_doomed(params, -z, floor):
+            quadrature = _quadrature(params, z)
+            quad = quadrature[0]
+            if quad is not None and floor > _SKIP_MARGIN * _TARGET_REL * abs(quad.value):
+                return quad
         value, terms, lost = _series_double(params, z, policy)
         if value is not None:
             return MLResult(value, "series", terms)
@@ -586,17 +694,12 @@ def ml_eval_detailed(
         asym = _asymptotic_negative(params, z, policy.asymptotic_terms)
         if asym is not None and _CERT_SAFETY * asym[1] <= _TARGET_REL:
             return MLResult(asym[0], "asymptotic", asym[2])
-    if spectral:
-        return _spectral(params, z)
-    if z < 0.0 and params.alpha < 2.0:
-        value, cert, nodes = _contour(params, -z)
-        if cert <= _TARGET_REL:
-            return MLResult(value, "contour", nodes)
-        if value != 0.0:
-            # Next to a zero of E the double pass's value is rounding noise,
-            # while the contour's still has the right magnitude.
-            lost = _peak_log10_term(params, z) - math.log10(abs(value))
+    quad, quad_lost = quadrature or _quadrature(params, z)
+    if quad is not None:
+        return quad
     if inner:
+        if quad_lost is not None:
+            lost = quad_lost
         value, terms = _series_mp(params, z, policy, lost)
         return MLResult(value, "series", terms)
     try:

@@ -38,6 +38,7 @@ __all__ = [
     "SCHEMES",
     "OracleConfig",
     "StepSingularError",
+    "UnstableResolventError",
     "PicardDivergenceError",
     "solve_volterra",
     "picard_iterate",
@@ -46,10 +47,20 @@ __all__ = [
 SCHEMES = ("implicit_product_trapezoid", "picard")
 
 _DIVERGENCE_FACTOR = 1e6
+# Where the discrete system is unstable, max|r| grows exponentially along the
+# grid (50, 9.4e5 and 5.7e28 times r[0] after 50, 200 and 1000 steps at
+# nu = 1.05, c h = 178); past this factor the solve amplifies rounding by
+# more than six digits.  Grids on which max|r| does not grow with n keep it
+# below 6.5 r[0] (nu 0.1 to 1.95, c h 1e-3 to 1e3, n 50 to 1000).
+_RESOLVENT_GROWTH_LIMIT = 1e6
 
 
 class StepSingularError(ArithmeticError):
     """The system's diagonal degenerated (cannot occur for valid input)."""
+
+
+class UnstableResolventError(ArithmeticError):
+    """The discrete resolvent grows without bound: the grid is too coarse."""
 
 
 class PicardDivergenceError(ArithmeticError):
@@ -118,7 +129,10 @@ def solve_volterra(
     r = 1/ell, ell(x) = 1 + c^nu c0 + c^nu sum_i d2[i] x^(i+1): O(n log n)
     time, O(n) memory.  FFT rounding grows with c^nu T^nu (T the window):
     within 1e-14 max|G| of a row-by-row march for T = 5/c, ~3e-12 at
-    c^nu T^nu = 5000.  For scheme="picard" this dispatches to picard_iterate.
+    c^nu T^nu = 5000.  Raises UnstableResolventError where r grows past
+    1e6 |r[0]|: for nu above 1 on coarse grids (c h of ~10 and more) the
+    discrete system is unstable and its solution grows with r.  For
+    scheme="picard" this dispatches to picard_iterate.
     """
     if cfg.scheme == "picard":
         return picard_iterate(problem, cfg, weights=weights)
@@ -132,11 +146,20 @@ def solve_volterra(
     # -r (ell r)[m:k], where (ell r)[m:k] = c^nu (d2 * r)[m-1:k-1] is left
     # unwrapped by a size-2m cyclic product.
     r = np.array([1.0 / denom])
-    while len(r) < n:
-        m, k = len(r), min(2 * len(r), n)
-        r_hat = np.fft.rfft(r, _fft_size(m))
-        r = np.append(r, _causal_convolution(r_hat, weights.d2[: k - 1])[m - 1 :])
-        r[m:] = -cn * _causal_convolution(r_hat, r[m:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(r) < n:
+            m, k = len(r), min(2 * len(r), n)
+            r_hat = np.fft.rfft(r, _fft_size(m))
+            r = np.append(r, _causal_convolution(r_hat, weights.d2[: k - 1])[m - 1 :])
+            r[m:] = -cn * _causal_convolution(r_hat, r[m:])
+    limit = _RESOLVENT_GROWTH_LIMIT * r[0]
+    if not (r.max() <= limit and r.min() >= -limit):  # also catches inf and NaN
+        growth = max(abs(float(r.max())), abs(float(r.min()))) / r[0]
+        raise UnstableResolventError(
+            f"the discrete resolvent of nu = {problem.nu!r} at c h = "
+            f"{problem.c * cfg.grid.h:.6g} grows to {growth:.3e} |r[0]|: the "
+            f"product-trapezoid system is unstable on {n} steps; use a larger n"
+        )
     # (r b)[m:n] = (r b_hi)[:n-m] + (r b_lo)[m:n]: transforms of size ~2m, not ~2n
     G[1:] -= cn * G[0] * weights.a0
     m = (n + 1) // 2

@@ -104,6 +104,27 @@ class TestSolveCommand:
     def test_bad_problem_exit_2(self):
         assert main(["solve", "--nu", "-0.5", "--c", "1"]) == 2
 
+    @pytest.mark.parametrize("args, error", [
+        # E[1](-x) is out of the evaluator's reach from x ~ 336 on; n = 2
+        # reaches x = 400 at the first node
+        (["--nu", "1", "--c", "1", "--T", "800", "--n", "2"], "SeriesConvergenceError"),
+        (["--nu", "1.5", "--c", "1", "--T", "1000", "--n", "200", "--method", "oracle"],
+         "UnstableResolventError"),
+        (["--nu", "1.95", "--c", "1000", "--T", "5", "--n", "300", "--method", "oracle"],
+         "UnstableResolventError"),
+    ])
+    def test_numerical_refusal_exit_2(self, args, error):
+        res = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "fracrelax",
+             "solve", *args],
+            capture_output=True,
+            text=True,
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"error: {error}: ")
+        assert len(res.stderr.splitlines()) == 1
+
 
 class TestVerifyCommand:
     def test_pass_and_report(self, tmp_path):

@@ -7,7 +7,7 @@ from scipy.special import erfc
 
 from conftest import ml_reference, ml_reference_negative
 from fracrelax.grids import DomainError, GridMismatchError, UniformGrid
-from fracrelax import kinetics
+from fracrelax import kinetics, verification
 from fracrelax.kinetics import (
     KineticProblem,
     RelaxationInvariantError,
@@ -317,15 +317,91 @@ class TestRelaxationInvariant:
             closed_form_curve(KineticProblem(nu=0.6, c=1.0, N_a=1.0),
                               UniformGrid.from_span(0.0, 40.0, 100))
 
-    def test_curve_matches_pointwise_solutions(self):
-        # the curve and the pointwise forms share E and the prefactor
-        for p in (KineticProblem(nu=0.6, c=1.3, N_a=2.0),
-                  KineticProblem(nu=0.7, c=1.0, N_a=1.7, mu=1.5)):
-            g = UniformGrid.from_span(0.0, 40.0, 200)
-            curve = closed_form_curve(p, g)
-            solution = relaxation_solution if p.mu is None else power_source_solution
-            for t, v in zip(g.times()[1:], curve.values[1:]):
-                assert v == solution(p, t)
+    @pytest.mark.parametrize("nu, mu, c, a, span", [
+        (0.6, None, 1.3, 0.0, 40.0), (0.7, 1.5, 1.0, 0.0, 40.0),
+        # 5/c windows in every evaluator regime, some starting away from 0
+        (0.3, None, 1.0, 0.0, 5.0), (0.48091570891331814, None, 2.9, 1.7, 5.0 / 2.9),
+        (1.0, None, 2.9, -3.1, 5.0 / 2.9), (1.5, None, 1.0, 0.0, 5.0),
+        (0.7, 0.5, 1.0, 0.0, 5.0), (0.5, 1.3, 0.37, 1.7, 5.0 / 0.37),
+        (1.0, 2.0, 2.9, 0.0, 5.0 / 2.9), (0.9, 0.8, 1.0, -3.1, 5.0),
+    ])
+    def test_curve_matches_pointwise_solutions(self, nu, mu, c, a, span):
+        # the curve and the pointwise forms share E and the prefactor, bitwise
+        p = KineticProblem(nu=nu, c=c, N_a=1.7, a=a, mu=mu)
+        g = UniformGrid.from_span(a, span, 400)
+        curve = closed_form_curve(p, g)
+        solution = relaxation_solution if p.mu is None else power_source_solution
+        for t, v in zip(g.times()[1:], curve.values[1:]):
+            assert v == solution(p, t)
+            assert v == solution(p, float(t))
+
+
+# (nu, mu, c, a): plain and power-source curves in every evaluator regime,
+# some with a window start away from 0
+LADDER_PROBLEMS = [
+    (0.3, None, 1.0, 0.0), (0.48091570891331814, None, 2.9, 1.7), (0.75, None, 0.37, 0.0),
+    (1.0, None, 2.9, -3.1), (1.5, None, 1.0, 0.0), (0.7, 0.5, 1.0, 0.0),
+    (0.5, 1.3, 0.37, 1.7), (1.0, 2.0, 2.9, 0.0), (0.9, 0.8, 1.0, -3.1),
+]
+
+
+class TestRestriction:
+    @pytest.mark.parametrize("nu, mu, c, a", LADDER_PROBLEMS)
+    def test_restriction_is_bitwise_the_coarse_curve(self, nu, mu, c, a):
+        p = KineticProblem(nu=nu, c=c, N_a=1.3, a=a, mu=mu)
+        fine = closed_form_curve(p, UniformGrid.from_span(a, 5.0 / c, 1000))
+        for n in (500, 250, 125):
+            coarse = UniformGrid.from_span(a, 5.0 / c, n)
+            restricted = kinetics.restrict_curve(fine, coarse)
+            direct = closed_form_curve(p, coarse)
+            assert restricted.grid == coarse
+            assert restricted.singular_start == direct.singular_start
+            assert np.array_equal(restricted.values, direct.values, equal_nan=True)
+
+    def test_restriction_refuses_grids_that_do_not_nest(self):
+        p = KineticProblem(nu=0.7, c=1.0, N_a=1.0)
+        fine = closed_form_curve(p, UniformGrid.from_span(0.0, 5.0, 300))
+        for coarse in (UniformGrid.from_span(0.0, 5.0, 200),   # 300 / 200 steps
+                       UniformGrid.from_span(0.0, 4.0, 100),   # another span
+                       UniformGrid.from_span(0.0, 5.0, 100)):  # h / 3 is not exact
+            with pytest.raises(GridMismatchError):
+                kinetics.restrict_curve(fine, coarse)
+
+    def test_restriction_checks_the_invariant_again(self):
+        # each step rises by 1.5e-13, inside the evaluator's slack; two steps
+        # rise by 3e-13, outside it
+        p = KineticProblem(nu=0.7, c=1.0, N_a=2.0)
+        g = UniformGrid.from_span(0.0, 5.0, 100)
+        ratio = 0.5 * (1.0 + 1.5e-13) ** np.arange(g.n)
+        kinetics._check_relaxation_invariant(p, ratio)
+        values = np.concatenate(([p.N_a], p.N_a * ratio))
+        curve = SolutionCurve(problem=p, grid=g, values=values, method_tag="closed_form")
+        with pytest.raises(RelaxationInvariantError):
+            kinetics.restrict_curve(curve, UniformGrid.from_span(0.0, 5.0, 50))
+
+    @pytest.mark.parametrize("nu, mu, c, a", LADDER_PROBLEMS[:6])
+    def test_ladder_evaluates_the_closed_form_once(self, nu, mu, c, a, monkeypatch):
+        p = KineticProblem(nu=nu, c=c, N_a=1.3, a=a, mu=mu)
+        calls, seen = [], []
+        real_curve = verification.closed_form_curve
+        real_residual = verification.integral_equation_residual
+
+        def counting(problem, grid):
+            calls.append(grid.n)
+            return real_curve(problem, grid)
+
+        def capturing(problem, curve, weights=None):
+            seen.append(curve)  # the ladder hands every level's curve in here
+            return real_residual(problem, curve, weights=weights)
+
+        monkeypatch.setattr(verification, "closed_form_curve", counting)
+        monkeypatch.setattr(verification, "integral_equation_residual", capturing)
+        verification.run_verification(p, base_n=100, levels=3)
+        assert calls == [400]
+        assert [curve.grid.n for curve in seen] == [100, 200, 400]
+        for curve in seen:
+            direct = real_curve(p, curve.grid)
+            assert np.array_equal(curve.values, direct.values, equal_nan=True)
 
 
 class TestIntegralResidual:

@@ -321,3 +321,96 @@ def test_power_source_curves_rarely_reach_mpmath(monkeypatch):
     # only next to the zero of E[0.7, 0.5] at x = 1.6535 (27 nodes measured)
     assert counts[0.5, 0.7] == counts[0.7, 1.5] == counts[0.5, 1.3] == 0
     assert counts[0.7, 0.5] <= 40
+
+
+# alpha on [0.1, 1.9] and the beta of every benchmark and identity curve
+SKIP_ALPHAS = [round(0.1 * i, 1) for i in range(1, 20)]
+
+
+class TestDoomedPassSkip:
+    """The double pass is skipped only where its certificate provably fails.
+
+    For z = -x < -1 a floor on the pass's rounding estimate, from the series'
+    peak term, is compared with the quadrature's value; the skip may move
+    cost, never a value."""
+
+    @staticmethod
+    def certified_pass(params, z):
+        return mittag_leffler._series_double(params, z, default_policy(params))[0]
+
+    @pytest.mark.parametrize("alpha", SKIP_ALPHAS)
+    def test_certifying_pass_is_never_skipped(self, alpha):
+        skipped = 0
+        for beta in sorted({alpha, 0.5, 1.0, 1.3, 1.5, 2.0}):
+            params = MLParams(alpha, beta)
+            for x in np.linspace(1.0, 10.0 * alpha, 41)[1:]:
+                value = self.certified_pass(params, -x)
+                res = ml_eval_detailed(params, -x)
+                if value is not None:
+                    assert res.regime == "series" and res.value == value, (beta, x)
+                else:
+                    skipped += res.regime != "series"
+        if alpha >= 0.3:  # x <= 10 alpha leaves little cancellation below
+            assert skipped > 0
+
+    @pytest.mark.parametrize("alpha", SKIP_ALPHAS)
+    def test_floor_is_below_every_certifying_estimate(self, alpha):
+        # the estimate eps (4 + 2 sqrt(k)) max(max_mag, 1) of every pass that
+        # certifies lies above the floor; the floor is positive somewhere
+        positive = 0
+        for beta in sorted({alpha, 0.5, 1.0, 1.3, 1.5, 2.0}):
+            params = MLParams(alpha, beta)
+            policy = default_policy(params)
+            for x in np.linspace(1.0, 10.0 * alpha, 41)[1:]:
+                floor = mittag_leffler._pass_floor(params, -x, policy)
+                positive += floor > 0.0
+                s, k, max_mag = mittag_leffler._sum_double(
+                    params, -x, policy.series_tol, policy.max_terms)
+                est = mittag_leffler._EPS * (4.0 + 2.0 * math.sqrt(k)) * max(max_mag, 1.0)
+                if s is not None and s != 0.0 and est <= 1e-13 * abs(s):
+                    assert floor <= est, (beta, x)
+        assert positive > 0 or alpha == 0.1  # where no x lies in (1, 10 alpha]
+
+    @pytest.mark.parametrize("alpha, beta, x", [
+        (0.3, 0.5, 1.03),  # Gamma(alpha k + beta) < 1 at both candidate k
+        (0.7, 1.0, 2.5), (1.5, 1.3, 8.0), (1.9, 2.0, 15.0), (0.5, 0.5, 4.0),
+    ])
+    def test_floor_is_the_peak_term_bound(self, alpha, beta, x):
+        k = math.floor(math.exp(math.log(x) / alpha) / alpha)
+        t, j = max((mp.mpf(x) ** j * mp.rgamma(mp.mpf(alpha) * j + beta), j)
+                   for j in (k, k + 1))
+        expected = mittag_leffler._EPS * (4 + 2 * math.sqrt(j)) * float(t) * (1 - 1e-9)
+        params = MLParams(alpha, beta)
+        floor = mittag_leffler._pass_floor(params, -x, default_policy(params))
+        assert t >= 1 and floor == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_skip_returns_the_quadrature(self, monkeypatch):
+        # a provably doomed pass is not run at all
+        def forbidden(*args):
+            raise AssertionError("double pass")
+
+        monkeypatch.setattr(mittag_leffler, "_sum_double", forbidden)
+        res = ml_eval_detailed(MLParams(0.5, 1.0), -4.0)
+        assert res.regime == "spectral"
+        ref = ml_reference_negative(0.5, 4.0)
+        assert res.value == pytest.approx(ref, rel=1e-13, abs=0)
+        res = ml_eval_detailed(MLParams(1.0, 1.0), -6.0)
+        assert res.regime == "contour"
+        assert res.value == pytest.approx(math.exp(-6.0), rel=1e-13, abs=0)
+
+
+class TestSpectralKernel:
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.95, 0.99])
+    def test_meets_contract_across_the_range(self, alpha):
+        params = MLParams(alpha, 1.0)
+        for x in [0.01, 0.7, 3.0, 30.0, 1e3, 1e6]:
+            assert mittag_leffler._spectral_applies(params, -x)
+            value = mittag_leffler._spectral(params, -x).value
+            ref = ml_reference_negative(alpha, x)
+            assert value == pytest.approx(ref, rel=1e-13, abs=0), x
+
+    def test_table_clip_bounds_applicability(self):
+        # log(x)/alpha past 670 would meet the clipped table exp(u/alpha)
+        assert mittag_leffler._spectral_applies(MLParams(0.03, 1.0), -1e6)
+        assert not mittag_leffler._spectral_applies(MLParams(0.02, 1.0), -1e6)
+        assert not mittag_leffler._spectral_applies(MLParams(0.5, 1.0), -1e-160)

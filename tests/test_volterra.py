@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import mpmath as mp
@@ -19,6 +20,7 @@ from fracrelax.riemann_liouville import build_weights
 from fracrelax.volterra import (
     OracleConfig,
     PicardDivergenceError,
+    UnstableResolventError,
     picard_iterate,
     solve_volterra,
 )
@@ -295,3 +297,30 @@ class TestPicard:
             picard_iterate(
                 p, OracleConfig(grid=g, scheme="picard", picard_iterations=30)
             )
+
+
+class TestUnstableResolvent:
+    """For nu above ~1.2 and c h of ~5 or more the discrete resolvent grows
+    exponentially; the solve refuses such grids instead of returning a
+    blown-up solution, and without numpy warnings on the way."""
+
+    @pytest.mark.parametrize("nu, c, span, n, growth", [
+        (1.5, 1.0, 1000.0, 200, r"8\.9\d*e\+11"),
+        (1.95, 1000.0, 5.0, 300, r"e\+2\d\d"),
+    ])
+    def test_refused(self, nu, c, span, n, growth):
+        p = KineticProblem(nu=nu, c=c, N_a=1.0)
+        g = UniformGrid.from_span(0.0, span, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(UnstableResolventError,
+                               match=rf"nu = {nu}.*c h = .*{growth} \|r\[0\]\|"):
+                solve_volterra(p, OracleConfig(grid=g))
+
+    def test_stable_coarse_grid_still_solves(self):
+        p = KineticProblem(nu=1.2, c=1.0, N_a=1.0)
+        g = UniformGrid.from_span(0.0, 1000.0, 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            curve = solve_volterra(p, OracleConfig(grid=g))
+        assert np.all(np.isfinite(curve.values))
