@@ -21,6 +21,7 @@ SeriesConvergenceError), reported on one ``error:`` line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .grids import UniformGrid
@@ -30,7 +31,6 @@ from .kinetics import (
     neumann_curve,
 )
 from .mittag_leffler import (
-    MLEvalPolicy,
     MLOverflowError,
     MLParams,
     SeriesConvergenceError,
@@ -146,24 +146,23 @@ def _problem_from_args(args, nu=None, mu=None, c=None) -> KineticProblem:
     )
 
 
-def _grid_from_args(args, problem: KineticProblem, default_n: int) -> UniformGrid:
-    span = problem.default_span() if args.T is None else args.T
+def _steps_from_args(args, default_n: int) -> int:
     n = default_n if args.n is None else args.n
     if n < 1:
         raise UsageError(f"--n must be >= 1, got {n}")
-    return UniformGrid.from_span(problem.a, span, n)
+    return n
+
+
+def _grid_from_args(args, problem: KineticProblem, default_n: int) -> UniformGrid:
+    span = problem.default_span() if args.T is None else args.T
+    return UniformGrid.from_span(problem.a, span, _steps_from_args(args, default_n))
 
 
 def _cmd_ml(args) -> int:
     params = MLParams(alpha=args.alpha, beta=args.beta)
     policy = default_policy(params)
     if args.tol is not None:
-        policy = MLEvalPolicy(
-            series_tol=args.tol,
-            max_terms=policy.max_terms,
-            asymptotic_switch=policy.asymptotic_switch,
-            asymptotic_terms=policy.asymptotic_terms,
-        )
+        policy = dataclasses.replace(policy, series_tol=args.tol)
     lines = ["z,value,regime,terms"]
     for z in args.z:
         try:
@@ -249,7 +248,7 @@ def _cmd_sweep(args) -> int:
         N_a=args.Na,
         a=args.a,
         span=args.T,
-        n=2000 if args.n is None else args.n,
+        n=_steps_from_args(args, 2000),
         tol=args.tol,
     )
     _emit(sweep_csv_text(rows), args.out, data_to_stdout=True)

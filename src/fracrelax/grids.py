@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,16 @@ class GridMismatchError(ValueError):
     """Grids of the operands are incompatible."""
 
 
+def _check_steps(n) -> None:
+    """DomainError unless n is an integer (numpy integers pass) and n >= 1."""
+    try:
+        steps = operator.index(n)
+    except TypeError:
+        raise DomainError(f"grid step count must be an integer, got {n!r}") from None
+    if steps < 1:
+        raise DomainError(f"grid needs at least one step, got n={n}")
+
+
 @dataclass(frozen=True)
 class UniformGrid:
     """Nodes t_j = a + j*h, j = 0..n."""
@@ -31,8 +42,7 @@ class UniformGrid:
             raise DomainError(f"grid start must be finite, got {self.a!r}")
         if not (math.isfinite(self.h) and self.h > 0.0):
             raise DomainError(f"grid step must be positive, got {self.h!r}")
-        if self.n < 1:
-            raise DomainError(f"grid needs at least one step, got n={self.n}")
+        _check_steps(self.n)
 
     @property
     def span(self) -> float:
@@ -51,6 +61,7 @@ class UniformGrid:
     @classmethod
     def from_span(cls, a: float, span: float, n: int) -> "UniformGrid":
         """Grid over [a, a+span] with n steps."""
+        _check_steps(n)
         if not span > 0.0:
             raise DomainError(f"span must be positive, got {span!r}")
         return cls(a, span / n, n)

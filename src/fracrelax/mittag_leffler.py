@@ -15,7 +15,7 @@ to ~1e-13 relative:
    alpha < 2 the series' peak term T_k, near k = x^(1/alpha)/alpha, gives
    a floor eps (4 + 2 sqrt(k)) T_k on that estimate for every pass that
    can certify.  Where a cheap guess of |E| says the floor may exceed
-   1e-13 |E|, the quadrature below is evaluated first, and its value is
+   1e-13 |E|, the contour below is evaluated first, and its value is
    returned without the pass once the floor exceeds 1.02e-13 times it: the
    pass provably fails there.  The skip never changes a value.
 2. Asymptotic, for z < -asymptotic_switch: the algebraic expansion
@@ -26,25 +26,7 @@ to ~1e-13 relative:
    for alpha >= 0.9, a bound on the oscillatory exponential mode the
    algebraic terms cannot see (for alpha = 1 every term vanishes while E
    is e^z, so the certificate, not the expansion, decides).
-3. Spectral, for 0 < alpha < 1, beta = 1, -1e6 <= z < 0.  E[alpha] is
-   completely monotone with the positive representation (Gorenflo-Mainardi,
-   rho = r^alpha)
-
-       E[alpha](-x) = sin(alpha pi)/(alpha pi)
-                      * int_0^inf exp(-(x rho)^(1/alpha))
-                        / (rho^2 + 2 rho cos(alpha pi) + 1) d rho,
-
-   summed by the trapezoid rule in u = log rho.  The integrand decays like
-   e^u as u -> -inf for every alpha, so one node range serves all alpha;
-   it is analytic in |Im u| < d = min(pi (1-alpha), alpha pi/2), so the
-   step h = 2 pi d / 40 keeps the discretisation error near e^-40.  All
-   terms are positive; nothing cancels.  The weights and exp(u/alpha) are
-   tabulated per alpha, so a node costs one exp over the window of u where
-   its term can matter, found by index arithmetic.  Alpha so close to 0 or
-   1 that the strip needs more than _SPECTRAL_MAX_NODES nodes, or x so far
-   out that the table's clipped exponent would matter, is left to the
-   contour.
-4. Contour, for z = -x < 0 and alpha < 2: the Bromwich integral
+3. Contour, for z = -x < 0 and alpha < 2: the Bromwich integral
 
        E[alpha, beta](-x) = 1/(2 pi i) int_C e^s s^(alpha-beta)/(s^alpha + x) ds
 
@@ -63,7 +45,7 @@ to ~1e-13 relative:
    to |value|; it fails next to a zero of E
    (e.g. E[0.7, 0.5] at x = 1.6535) and where E is exponentially small
    (alpha = beta = 1 beyond x ~ 8).
-5. mpmath series, for the few nodes no regime above certifies: the series
+4. mpmath series, for the few nodes no regime above certifies: the series
    is re-summed at a working precision sized to the observed cancellation
    (digits lost = log10(max |term| / |sum|), or from the peak term and an
    uncertified contour value), escalating until the result carries >= 17
@@ -112,22 +94,6 @@ _MAX_DPS = 1200
 _MP_ROUNDS = 6
 # exp overflows past ~709; E[alpha](z) ~ exp(z^(1/alpha))/alpha for z -> +inf.
 _EXP_OVERFLOW = 708.0
-# Spectral quadrature: exp(-_SPECTRAL_LOG_EPS) bounds the discretisation and
-# truncation errors; arguments up to _SPECTRAL_X_MAX are covered by the node
-# range, and the strip may not demand more than _SPECTRAL_MAX_NODES nodes.
-_SPECTRAL_LOG_EPS = 40.0
-_SPECTRAL_X_MAX = 1e6
-_SPECTRAL_MAX_NODES = 100_000
-_SPECTRAL_U_MIN = -_SPECTRAL_LOG_EPS - math.log(_SPECTRAL_X_MAX)
-# exp(-y) is exactly 0.0 in double for y >= 746.
-_LOG_EXP_UNDERFLOW = math.log(746.0)
-# The table exp(u/alpha) has its exponent clipped to +-_EXP_CLIP, so that
-# neither it nor x^(1/alpha) times it overflows.  The clip changes no term
-# while _SPECTRAL_LOG_Y[0] <= log(x)/alpha <= _SPECTRAL_LOG_Y[1]: clipped
-# nodes above lie outside the window, and clipped nodes below still give
-# exp(-x^(1/alpha) g) = 1.0 exactly, as x^(1/alpha) g < e^-38 < 2^-54 there.
-_EXP_CLIP = 708.0
-_SPECTRAL_LOG_Y = (-700.0, 670.0)
 # Contour quadrature: parabola scale, trapezoid step in u, and the decay
 # e^(mu (1 - U^2)) = e^-_CONTOUR_LOG_EPS of e^s at the last node u = U.  The
 # cut at Im u = 1 leaves a discretisation error near e^(-2 pi / h) = e^-63.
@@ -138,9 +104,10 @@ _CONTOUR_LOG_EPS = 45.0
 # error e^(-2 pi margin / h) is ~4e-17 of their residue.
 _POLE_MARGIN = 0.6
 # Rounding of the contour sum, as a multiple of the sum of |terms|: measured
-# at most 2.14 eps, against exact references, over the 12 971 contour values
-# of a closed_form and a verify benchmark round and a scan of alpha in
-# [0.1, 1.9], beta in {alpha, 0.5, 1, 1.3, 1.5, 2}.
+# against exact references at most 2.32 eps over the 17 581 distinct contour
+# values of a closed_form and a verify benchmark round (at E[0.5](-1.958)),
+# and at most 2.14 eps on a scan of alpha in [0.1, 1.9], beta in
+# {alpha, 0.5, 1, 1.3, 1.5, 2}.
 _CONTOUR_ROUNDING = 4.0 * _EPS
 # A certified double pass at z would lie within ~1e-13 of |E| and so of the
 # quadrature's value; a floor on its rounding estimate this far above
@@ -209,8 +176,8 @@ def default_policy(params: MLParams) -> MLEvalPolicy:
 @dataclass(frozen=True)
 class MLResult:
     value: float
-    regime: str  # "series", "asymptotic", "spectral" or "contour"
-    terms: int  # series/asymptotic terms, or quadrature nodes
+    regime: str  # "series", "asymptotic" or "contour"
+    terms: int  # series/asymptotic terms, or contour nodes
 
 
 def series_terms(params: MLParams, z: float, max_k: int) -> Iterator[float]:
@@ -461,68 +428,6 @@ def _series_adaptive(params: MLParams, z: float, policy: MLEvalPolicy):
     return _series_mp(params, z, policy, lost)
 
 
-def _spectral_step(alpha: float) -> float:
-    """Trapezoid step in log rho from the strip of analyticity."""
-    d = min(math.pi * (1.0 - alpha), 0.5 * math.pi * alpha)
-    return 2.0 * math.pi * d / _SPECTRAL_LOG_EPS
-
-
-def _spectral_applies(params: MLParams, z: float) -> bool:
-    """Whether the spectral quadrature covers E[alpha, beta](z)."""
-    alpha = params.alpha
-    if not (0.0 < alpha < 1.0 and params.beta == 1.0):
-        return False
-    if not -_SPECTRAL_X_MAX <= z < 0.0:
-        return False
-    span = _SPECTRAL_LOG_EPS - _SPECTRAL_U_MIN
-    if span / _spectral_step(alpha) > _SPECTRAL_MAX_NODES:
-        return False
-    return _SPECTRAL_LOG_Y[0] <= math.log(-z) / alpha <= _SPECTRAL_LOG_Y[1]
-
-
-@lru_cache(maxsize=8)
-def _spectral_nodes(alpha: float) -> tuple[int, float, np.ndarray, np.ndarray]:
-    """Nodes u = h (k0 + i) = log rho of the spectral integral: (k0, h, w, g).
-
-    w are the trapezoid weights and g = exp(u/alpha), so that the node's
-    factor exp(-(x rho)^(1/alpha)) is exp(-x^(1/alpha) g).  The range
-    [-40 - log(_SPECTRAL_X_MAX), 40] leaves out tails below e^-40 of the
-    value: the integrand is ~ rho near 0, where E[alpha](-x) >~ 1/x, and
-    ~ 1/rho at infinity.  Writing the denominator as
-    (rho - 1)^2 + 4 rho cos^2(alpha pi / 2) keeps it free of cancellation
-    as alpha -> 1.
-    """
-    h = _spectral_step(alpha)
-    k0 = math.floor(_SPECTRAL_U_MIN / h)
-    u = h * np.arange(k0, math.ceil(_SPECTRAL_LOG_EPS / h) + 1)
-    rho = np.exp(u)
-    cos_half = math.cos(0.5 * math.pi * alpha)
-    scale = h * math.sin(math.pi * alpha) / (math.pi * alpha)
-    w = scale * rho / ((rho - 1.0) ** 2 + 4.0 * cos_half * cos_half * rho)
-    g = np.exp(np.clip(u / alpha, -_EXP_CLIP, _EXP_CLIP))
-    w.setflags(write=False)  # shared by every caller through the cache
-    g.setflags(write=False)
-    return k0, h, w, g
-
-
-def _spectral(params: MLParams, z: float) -> MLResult:
-    """E[alpha](z), z < 0, by the trapezoid rule on the spectral integral.
-
-    Only nodes where the integrand can matter are summed: below
-    -40 - log x it is under e^-40 of the value, and above
-    alpha log(746) - log x the factor exp(-(x rho)^(1/alpha)) is exactly
-    zero in double.  The window follows from the uniform u by index
-    arithmetic.
-    """
-    alpha = params.alpha
-    k0, h, w, g = _spectral_nodes(alpha)
-    lx = math.log(-z)
-    i0 = max(math.ceil((-_SPECTRAL_LOG_EPS - max(lx, 0.0)) / h) - k0, 0)
-    i1 = math.ceil((alpha * _LOG_EXP_UNDERFLOW - lx) / h) - k0
-    decay = np.exp(g[i0:i1] * -math.exp(lx / alpha))
-    return MLResult(float(np.dot(w[i0:i1], decay)), "spectral", decay.size)
-
-
 @lru_cache(maxsize=32)
 def _contour_nodes(alpha: float, beta: float, mu: float):
     """Contour data (c, e) for the parabola of scale mu.
@@ -577,7 +482,8 @@ def _contour(params: MLParams, x: float):
         damp = math.exp(-2.0 * math.pi * abs(dist) / _CONTOUR_STEP)
         disc = size * damp / (1.0 - damp)
     c, e = _contour_nodes(alpha, beta, mu)
-    t = (c / (e + x)).imag
+    q = e + x
+    t = np.divide(c, q, out=q).imag
     value = float(t.sum()) + residue
     err = _CONTOUR_ROUNDING * (float(np.abs(t).sum()) + residue_scale) + disc
     cert = err / abs(value) if value != 0.0 else math.inf
@@ -644,16 +550,13 @@ def ml_series(params: MLParams, z: float, policy: MLEvalPolicy | None = None) ->
 
 
 def _quadrature(params: MLParams, z: float):
-    """The certified quadrature that covers z, as (MLResult or None, lost).
+    """The certified contour value at z, as (MLResult or None, lost).
 
-    The spectral value needs no certificate.  An uncertified contour value
-    yields None, with the digits the series cancels by (from its peak term
-    and the contour's value) in ``lost``: next to a zero of E the double
-    pass's value is rounding noise, while the contour's still has the right
-    magnitude.
+    An uncertified contour value yields None, with the digits the series
+    cancels by (from its peak term and the contour's value) in ``lost``:
+    next to a zero of E the double pass's value is rounding noise, while the
+    contour's still has the right magnitude.
     """
-    if _spectral_applies(params, z):
-        return _spectral(params, z), None
     if not (z < 0.0 and params.alpha < 2.0):
         return None, None
     value, cert, nodes = _contour(params, -z)

@@ -53,6 +53,19 @@ class TestMlCommand:
     def test_invalid_params_exit_2(self, capsys):
         assert main(["ml", "--alpha", "-1", "--z", "0"]) == 2
 
+    def test_tol_overrides_only_the_series_tolerance(self, capsys):
+        # the default switch (10 alpha) still sends z = -30 to the expansion
+        args = ["ml", "--alpha", "0.5", "--z", "-0.5", "-30"]
+        assert main(args) == 0
+        default = parse_csv(capsys.readouterr().out)[1]
+        assert main([*args, "--tol", "1e-12"]) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert [r[2] for r in rows] == [r[2] for r in default] == ["series", "asymptotic"]
+        assert rows[1] == default[1]
+        assert int(rows[0][3]) < int(default[0][3])
+        assert float(rows[0][1]) == pytest.approx(float(default[0][1]), rel=1e-11)
+        assert main([*args, "--tol", "0"]) == 2
+
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "ml.csv"
         assert main(["ml", "--alpha", "1", "--z", "0", "--out", str(out)]) == 0
@@ -199,6 +212,13 @@ class TestSweepCommand:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--nu", "0.5,abc", "--c", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_step_count_below_one_exit_2(self, n, capsys):
+        assert main(["sweep", "--nu", "0.5", "--c", "1", "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --n must be >= 1, got {n}\n"
 
 
 class TestDeterminism:

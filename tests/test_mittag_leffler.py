@@ -195,7 +195,7 @@ class TestNonDyadicNegativeAxis:
 
     def test_reported_values(self):
         res = ml_eval_detailed(MLParams(0.6, 1.0), -10.0)
-        assert res.regime == "spectral" and res.terms > 0
+        assert res.regime == "contour" and res.terms > 0
         ref = ml_reference_negative(0.6, 10.0)
         assert res.value == pytest.approx(ref, rel=1e-13, abs=0)
         assert res.value == pytest.approx(0.04658965, rel=1e-6)
@@ -391,7 +391,7 @@ class TestDoomedPassSkip:
 
         monkeypatch.setattr(mittag_leffler, "_sum_double", forbidden)
         res = ml_eval_detailed(MLParams(0.5, 1.0), -4.0)
-        assert res.regime == "spectral"
+        assert res.regime == "contour"
         ref = ml_reference_negative(0.5, 4.0)
         assert res.value == pytest.approx(ref, rel=1e-13, abs=0)
         res = ml_eval_detailed(MLParams(1.0, 1.0), -6.0)
@@ -399,18 +399,24 @@ class TestDoomedPassSkip:
         assert res.value == pytest.approx(math.exp(-6.0), rel=1e-13, abs=0)
 
 
-class TestSpectralKernel:
+class TestCompletelyMonotoneRange:
+    """E[alpha](-x) for 0 < alpha < 1 from the tiny to the far axis, where
+    the series, the asymptotic expansion and the contour share the work."""
+
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.95, 0.99])
     def test_meets_contract_across_the_range(self, alpha):
         params = MLParams(alpha, 1.0)
         for x in [0.01, 0.7, 3.0, 30.0, 1e3, 1e6]:
-            assert mittag_leffler._spectral_applies(params, -x)
-            value = mittag_leffler._spectral(params, -x).value
+            value = ml_eval_detailed(params, -x).value
             ref = ml_reference_negative(alpha, x)
             assert value == pytest.approx(ref, rel=1e-13, abs=0), x
 
-    def test_table_clip_bounds_applicability(self):
-        # log(x)/alpha past 670 would meet the clipped table exp(u/alpha)
-        assert mittag_leffler._spectral_applies(MLParams(0.03, 1.0), -1e6)
-        assert not mittag_leffler._spectral_applies(MLParams(0.02, 1.0), -1e6)
-        assert not mittag_leffler._spectral_applies(MLParams(0.5, 1.0), -1e-160)
+    def test_contour_certifies_the_range(self):
+        uncertified = []
+        for alpha in np.linspace(0.05, 0.99, 48):
+            params = MLParams(float(alpha), 1.0)
+            for x in np.geomspace(1e-3, 1e6, 46):
+                _, cert, _ = mittag_leffler._contour(params, float(x))
+                if not cert <= 1e-13:
+                    uncertified.append((alpha, x))
+        assert uncertified == []

@@ -37,6 +37,17 @@ class TestGridTypes:
         with pytest.raises(DomainError):
             UniformGrid(math.inf, 0.1, 10)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "4", None, 0, -2, np.int64(0)])
+    def test_step_count_must_be_a_positive_integer(self, n):
+        with pytest.raises(DomainError):
+            UniformGrid(0.0, 0.4, n)
+        with pytest.raises(DomainError):
+            UniformGrid.from_span(0.0, 1.0, n)
+
+    def test_numpy_integer_step_count(self):
+        g = UniformGrid.from_span(0.0, 1.0, np.int64(4))
+        assert g == UniformGrid(0.0, 0.25, 4) and g.times().size == 5
+
     def test_grid_nodes(self):
         g = UniformGrid.from_span(1.0, 2.0, 4)
         assert g.h == 0.5 and g.span == 2.0
