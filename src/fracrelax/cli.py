@@ -49,7 +49,7 @@ from .volterra import OracleConfig, solve_volterra
 __all__ = ["build_parser", "main"]
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Semantic validation failure; maps to exit code 2."""
 
 
@@ -136,14 +136,8 @@ def _emit(text: str, out_path: str | None, data_to_stdout: bool) -> None:
         sys.stdout.write(text)
 
 
-def _problem_from_args(args, nu=None, mu=None, c=None) -> KineticProblem:
-    return KineticProblem(
-        nu=args.nu if nu is None else nu,
-        c=args.c if c is None else c,
-        N_a=args.Na,
-        a=args.a,
-        mu=(args.mu if mu is None else mu),
-    )
+def _problem_from_args(args) -> KineticProblem:
+    return KineticProblem(nu=args.nu, c=args.c, N_a=args.Na, a=args.a, mu=args.mu)
 
 
 def _steps_from_args(args, default_n: int) -> int:
@@ -202,15 +196,13 @@ def _cmd_solve(args) -> int:
     else:
         curve = solve_volterra(problem, OracleConfig(grid=grid))
         closed = closed_form_curve(problem, grid)
-        start = 1 if curve.singular_start else 0
-        gap = abs(curve.values[start:] - closed.values[start:]).max()
+        gap = abs(curve.defined_values() - closed.defined_values()).max()
         print(f"max |oracle - closed| = {gap:.6e}", file=sys.stderr)
-    times = grid.times()
     lines = ["t,N"]
-    for j in range(grid.n + 1):
-        value = curve.values[j]
-        n_txt = "NA" if (j == 0 and curve.singular_start) else format_real(value)
-        lines.append(f"{format_real(times[j])},{n_txt}")
+    # a flagged singular start is NaN, which format_real writes as NA
+    lines.extend(
+        f"{format_real(t)},{format_real(v)}" for t, v in zip(grid.times(), curve.values)
+    )
     _emit("\n".join(lines) + "\n", args.out, data_to_stdout=True)
     return 0
 
@@ -268,10 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError and the package's validation errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # the typed numerical refusals

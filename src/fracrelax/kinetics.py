@@ -25,7 +25,7 @@ terms off analytically so the quadrature only ever sees the regular part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,38 +113,23 @@ class KineticProblem:
         return 5.0 / self.c
 
 
-@dataclass
-class SolutionCurve:
-    """A solution sampled on a grid, tagged by how it was produced."""
+@dataclass(kw_only=True)
+class SolutionCurve(GridFunction):
+    """A sampled solution of ``problem``, tagged by how it was produced.
+
+    A GridFunction, so it goes into the numeric operators as it is, with
+    the same shape, finiteness and NaN-at-start rules; the grid must also
+    start at problem.a.
+    """
 
     problem: KineticProblem
-    grid: UniformGrid
-    values: np.ndarray = field(repr=False)
     method_tag: str
-    singular_start: bool = False
 
     def __post_init__(self):
         if self.method_tag not in METHOD_TAGS:
             raise ValueError(f"unknown method tag {self.method_tag!r}")
-        if self.grid.a != self.problem.a:
-            raise GridMismatchError(
-                f"grid starts at {self.grid.a!r} but the problem at {self.problem.a!r}"
-            )
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n + 1,):
-            raise GridMismatchError(
-                f"expected {self.grid.n + 1} values, got shape {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals[1:])):
-            raise DomainError("solution values at t > a must be finite")
-        if self.singular_start != bool(np.isnan(vals[0])):
-            raise DomainError("singular-start flag must match a NaN at node 0")
-        self.values = vals
-
-    def as_grid_function(self) -> GridFunction:
-        return GridFunction(
-            grid=self.grid, values=self.values.copy(), singular_start=self.singular_start
-        )
+        _require_grid(self.problem, self.grid)
+        super().__post_init__()
 
 
 def relaxation_solution(problem: KineticProblem, t: float) -> float:
@@ -218,17 +203,29 @@ def _neumann_sum(problem: KineticProblem, dt: np.ndarray, M: int) -> np.ndarray:
     return sum(coef * dt**expo for coef, expo in terms)
 
 
-def _start_value(problem: KineticProblem) -> float:
-    # Limit of the solution as t -> a+: N_a Gamma(mu) for mu = 1, 0 for
-    # mu > 1, divergent (NaN-flagged) for mu < 1.
+def _sampled_curve(
+    problem: KineticProblem, grid: UniformGrid, tail: np.ndarray, method_tag: str
+) -> SolutionCurve:
+    """The curve with ``tail`` at t > a and the solution's limit at t = a.
+
+    That limit is N_a Gamma(mu) for mu = 1 and 0 for mu > 1; for mu < 1 the
+    solution diverges and node 0 is a flagged NaN.  Every Neumann term with
+    a positive exponent vanishes at t = a, so partial sums share the limit.
+    """
     mu_eff = problem.mu_eff
     if mu_eff < 1.0:
-        return math.nan
-    if mu_eff > 1.0:
-        return 0.0
-    if problem.mu is None:
-        return problem.N_a
-    return problem.N_a * gamma(problem.mu)
+        start = math.nan
+    elif mu_eff > 1.0:
+        start = 0.0
+    else:
+        start = problem.N_a if problem.mu is None else problem.N_a * gamma(problem.mu)
+    return SolutionCurve(
+        grid=grid,
+        values=np.concatenate(([start], tail)),
+        singular_start=mu_eff < 1.0,
+        problem=problem,
+        method_tag=method_tag,
+    )
 
 
 def _check_relaxation_invariant(problem: KineticProblem, ratio: np.ndarray) -> None:
@@ -267,22 +264,14 @@ def closed_form_curve(problem: KineticProblem, grid: UniformGrid) -> SolutionCur
     params = MLParams(problem.nu, problem.mu_eff)
     cn, a, nu = problem.rate_factor, problem.a, problem.nu
     e = np.array([ml_eval(params, -cn * (t - a) ** nu) for t in times])
-    values = np.empty(grid.n + 1)
-    values[0] = _start_value(problem)
     if problem.mu is None:
         if problem.nu <= 1.0:
             _check_relaxation_invariant(problem, e)
-        values[1:] = problem.N_a * e
+        tail = problem.N_a * e
     else:
         scale, expo = problem.N_a * gamma(problem.mu), problem.mu - 1.0
-        values[1:] = np.array([scale * (t - a) ** expo for t in times]) * e
-    return SolutionCurve(
-        problem=problem,
-        grid=grid,
-        values=values,
-        method_tag="closed_form",
-        singular_start=problem.mu_eff < 1.0,
-    )
+        tail = np.array([scale * (t - a) ** expo for t in times]) * e
+    return _sampled_curve(problem, grid, tail, "closed_form")
 
 
 def restrict_curve(curve: SolutionCurve, grid: UniformGrid) -> SolutionCurve:
@@ -302,13 +291,7 @@ def restrict_curve(curve: SolutionCurve, grid: UniformGrid) -> SolutionCurve:
     if (curve.method_tag == "closed_form" and problem.mu is None
             and 0.0 < problem.nu <= 1.0 and problem.N_a != 0.0):
         _check_relaxation_invariant(problem, values[1:] / problem.N_a)
-    return SolutionCurve(
-        problem=problem,
-        grid=grid,
-        values=values,
-        method_tag=curve.method_tag,
-        singular_start=curve.singular_start,
-    )
+    return replace(curve, grid=grid, values=values)
 
 
 def neumann_curve(problem: KineticProblem, grid: UniformGrid, M: int) -> SolutionCurve:
@@ -318,18 +301,8 @@ def neumann_curve(problem: KineticProblem, grid: UniformGrid, M: int) -> Solutio
     the nodes, whatever the grid size.
     """
     _require_grid(problem, grid)
-    values = np.empty(grid.n + 1)
-    # At t = a every term with positive exponent vanishes, leaving the same
-    # limit as the closed form.
-    values[0] = _start_value(problem)
-    values[1:] = _neumann_sum(problem, grid.times()[1:] - problem.a, M)
-    return SolutionCurve(
-        problem=problem,
-        grid=grid,
-        values=values,
-        method_tag="neumann",
-        singular_start=problem.mu_eff < 1.0,
-    )
+    tail = _neumann_sum(problem, grid.times()[1:] - problem.a, M)
+    return _sampled_curve(problem, grid, tail, "neumann")
 
 
 def auto_peel_depth(problem: KineticProblem, target_exponent: float = 1.0) -> int:
@@ -396,13 +369,11 @@ def integral_equation_residual(
     up to terms the quadrature could not represent anyway, and node 0 is
     reported as flagged-undefined.
     """
-    _require_curve(problem, curve)
+    _require_grid(problem, curve.grid)
     cn = problem.rate_factor
     if not curve.singular_start:
         forcing = _forcing_on_grid(problem, curve.grid)
-        integ = rl_integral_numeric(
-            curve.as_grid_function(), problem.nu, weights=weights
-        )
+        integ = rl_integral_numeric(curve, problem.nu, weights=weights)
         res = curve.values - forcing + cn * integ.values
         return GridFunction(grid=curve.grid, values=res)
     depth = auto_peel_depth(problem)
@@ -433,8 +404,8 @@ def differential_equation_residual(
         raise UnsupportedOrderError(
             f"differential residual needs 0 < nu < 1, got {problem.nu!r}"
         )
-    _require_curve(problem, curve)
-    deriv = rl_derivative_numeric(curve.as_grid_function(), problem.nu)
+    _require_grid(problem, curve.grid)
+    deriv = rl_derivative_numeric(curve, problem.nu)
     dt = curve.grid.h * np.arange(curve.grid.n + 1)
     res = np.full(curve.grid.n + 1, math.nan)
     c_start = reciprocal_gamma(1.0 - problem.nu)
@@ -460,7 +431,3 @@ def _require_grid(problem: KineticProblem, grid: UniformGrid) -> None:
         raise GridMismatchError(
             f"grid starts at {grid.a!r} but the problem at {problem.a!r}"
         )
-
-
-def _require_curve(problem: KineticProblem, curve: SolutionCurve) -> None:
-    _require_grid(problem, curve.grid)

@@ -63,7 +63,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-import mpmath as mp
 import numpy as np
 
 from .gammafn import reciprocal_gamma
@@ -113,6 +112,24 @@ _CONTOUR_ROUNDING = 4.0 * _EPS
 # quadrature's value; a floor on its rounding estimate this far above
 # 1e-13 |value| proves that it fails.
 _SKIP_MARGIN = 1.02
+
+
+class _LazyMpmath:
+    """Forwards attribute access to mpmath, which is imported on first use.
+
+    Only nodes no double-precision regime certifies reach mpmath, so
+    ``import fracrelax`` does not load it.
+    """
+
+    def __getattr__(self, attr):
+        import mpmath
+
+        return getattr(mpmath, attr)
+
+
+# Every mpmath call of this module goes through this one name, so a stand-in
+# put in its place (a tracer, a counting spy) sees them all.
+mp = _LazyMpmath()
 
 
 class SeriesConvergenceError(ArithmeticError):

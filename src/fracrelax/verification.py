@@ -51,6 +51,9 @@ __all__ = [
 
 REPORT_HEADER = "criterion,grid_n,metric,value,threshold,pass"
 SWEEP_HEADER = "nu,mu,c,n,max_error,threshold,pass"
+# Oracle agreement and the residuals are compared on t >= a + MASK_STEPS h
+# (h of the coarsest grid for the residual windows).
+MASK_STEPS = 10
 
 
 def format_real(x: float) -> str:
@@ -125,10 +128,10 @@ def default_oracle_tolerance(problem: KineticProblem) -> float:
     return 5e-4 if problem.mu_eff < 1.0 else 1e-4
 
 
-def _masked_errors(curve_a, curve_b, delta_steps: int) -> tuple[float, float]:
+def _masked_errors(curve_a, curve_b) -> tuple[float, float]:
     grid = curve_a.grid
     t = grid.times()
-    mask = t >= grid.a + delta_steps * grid.h
+    mask = t >= grid.a + MASK_STEPS * grid.h
     if curve_a.singular_start or curve_b.singular_start:
         mask[0] = False
     diff = np.abs(curve_a.values[mask] - curve_b.values[mask])
@@ -140,7 +143,6 @@ def run_verification(
     base_n: int = 250,
     levels: int = 3,
     oracle_tol: float | None = None,
-    delta_steps: int = 10,
     closed_form_scale: float = 1.0,
 ) -> VerificationReport:
     """Run the verification ladder; see the module docstring for the checks.
@@ -150,10 +152,8 @@ def run_verification(
     """
     if levels < 2:
         raise ValueError("verification needs at least 2 grid levels")
-    if base_n < max(2 * delta_steps, 4):
-        raise ValueError(
-            f"base grid too coarse: n={base_n} with delta_steps={delta_steps}"
-        )
+    if base_n < 2 * MASK_STEPS:
+        raise ValueError(f"base grid too coarse: n={base_n} < {2 * MASK_STEPS}")
     tol = default_oracle_tolerance(problem) if oracle_tol is None else oracle_tol
     report = VerificationReport(problem=problem, base_n=base_n, levels=levels)
     span = problem.default_span()
@@ -181,7 +181,7 @@ def run_verification(
 
     max_errs = []
     for i, grid in enumerate(grids):
-        max_err, l2_err = _masked_errors(oracle[i], closed[i], delta_steps)
+        max_err, l2_err = _masked_errors(oracle[i], closed[i])
         max_errs.append(max_err)
         level_tol = tol * 2.0 ** (levels - 1 - i)
         report.rows.append(
@@ -203,7 +203,7 @@ def run_verification(
     # Convergence is measured on a window that stays fixed across levels;
     # a mask tied to the current h keeps sliding into the derivative
     # singularity at t = a, where the interpolant error is only O(h^(2 nu)).
-    window_start = problem.a + delta_steps * grids[0].h
+    window_start = problem.a + MASK_STEPS * grids[0].h
     for i, grid in enumerate(grids):
         res = integral_equation_residual(problem, closed[i], weights=weight_sets[i])
         t = grid.times()
@@ -223,7 +223,6 @@ def run_verification(
 
     if problem.mu is None and 0.0 < problem.nu < 1.0:
         t0 = time.perf_counter()
-        window_start = problem.a + delta_steps * grids[0].h
         diff_res = []
         for grid, curve in zip(grids, closed):
             res = differential_equation_residual(problem, curve)
@@ -291,7 +290,6 @@ def run_sweep(
     span: float | None = None,
     n: int = 2000,
     tol: float | None = None,
-    delta_steps: int = 10,
 ) -> list[SweepRow]:
     """Cartesian sweep (nu outer, mu middle, c inner), one row per combo.
 
@@ -304,13 +302,11 @@ def run_sweep(
     for nu in nus:
         for mu in mus:
             for c in cs:
-                rows.append(
-                    _sweep_cell(nu, mu, c, N_a, a, span, n, tol, delta_steps)
-                )
+                rows.append(_sweep_cell(nu, mu, c, N_a, a, span, n, tol))
     return rows
 
 
-def _sweep_cell(nu, mu, c, N_a, a, span, n, tol, delta_steps) -> SweepRow:
+def _sweep_cell(nu, mu, c, N_a, a, span, n, tol) -> SweepRow:
     try:
         problem = KineticProblem(nu=nu, c=c, N_a=N_a, a=a, mu=mu)
         cell_tol = default_oracle_tolerance(problem) if tol is None else tol
@@ -318,7 +314,7 @@ def _sweep_cell(nu, mu, c, N_a, a, span, n, tol, delta_steps) -> SweepRow:
         grid = UniformGrid.from_span(a, cell_span, n)
         closed = closed_form_curve(problem, grid)
         oracle = solve_volterra(problem, OracleConfig(grid=grid))
-        max_err, _ = _masked_errors(oracle, closed, delta_steps)
+        max_err, _ = _masked_errors(oracle, closed)
         return SweepRow(nu, mu, c, n, max_err, cell_tol, max_err <= cell_tol)
     except Exception as exc:  # per-row containment: the sweep must go on
         fallback_tol = tol if tol is not None else math.nan

@@ -31,6 +31,7 @@ import numpy as np
 
 from .grids import DomainError, GridMismatchError, UniformGrid
 from .kinetics import KineticProblem, SolutionCurve, auto_peel_depth, peeled_source
+from .kinetics import _require_grid
 from .riemann_liouville import QuadratureWeights, build_weights
 from .riemann_liouville import _causal_convolution, _fft_size
 
@@ -86,10 +87,7 @@ class OracleConfig:
 
 
 def _prepare(problem: KineticProblem, cfg: OracleConfig, weights):
-    if cfg.grid.a != problem.a:
-        raise GridMismatchError(
-            f"oracle grid starts at {cfg.grid.a!r} but the problem at {problem.a!r}"
-        )
+    _require_grid(problem, cfg.grid)
     if weights is None:
         weights = build_weights(cfg.grid, problem.nu)
     elif weights.grid != cfg.grid or weights.nu != problem.nu:

@@ -47,31 +47,35 @@ def ml_reference(alpha: float, beta: float, z: float, dps: int = 60) -> float:
 def ml_reference_negative(alpha: float, x: float) -> float:
     """E[alpha](-x) for 0 < alpha < 1, x > 0, to ~20 significant digits.
 
-    While y = x^(1/alpha) <= 50 the series is summed with ml_reference at a
-    working precision sized to the peak term, which is about e^y.  Beyond
-    that the series needs ~y/alpha terms at ~y/2.3 digits, and the algebraic
-    expansion -sum_{k>=1} (-x)^-k / Gamma(1 - alpha k) is summed in mpmath
-    instead, truncated where its envelope x^-k Gamma(alpha k) / pi is
-    smallest (about e^-y; on the negative axis with alpha < 1 the expansion
-    carries no exponential terms) or already below 1e-22 of the sum.
+    Beyond y = x^(1/alpha) = 50 the algebraic expansion
+    -sum_{k>=1} (-x)^-k / Gamma(1 - alpha k) is summed in mpmath, truncated
+    where its envelope x^-k Gamma(alpha k) / pi is smallest (about e^-y; on
+    the negative axis with alpha < 1 the expansion carries no exponential
+    terms) or already below 1e-22 of the sum.  Its value is returned only
+    where that smallest term, the order of the truncation error, is below
+    1e-19 of the sum.  Everywhere else (y <= 50, and alpha near 1, where
+    |E| ~ 1/(x Gamma(1 - alpha)) is too small for an e^-y error) the series
+    is summed with ml_reference at a working precision sized to its peak
+    term, which is about e^y: ~y/alpha terms at ~y/2.3 digits.
     """
     log_y = math.log(x) / alpha
-    if log_y <= math.log(50.0):
-        y = math.exp(log_y)
-        return ml_reference(alpha, 1.0, -x, dps=int(30 + y / math.log(10.0)))
-    with mp.workdps(40):
-        am, xm = mp.mpf(alpha), mp.mpf(x)
-        s = mp.mpf(0)
-        prev = mp.inf
-        for k in range(1, 10000):
-            envelope = xm ** (-k) * mp.gamma(am * k) / mp.pi
-            if envelope > prev or envelope < 1e-22 * abs(s):
-                break
-            s += (-xm) ** (-k) * mp.rgamma(1 - am * k)
-            prev = envelope
-        # the truncation error is of the order of the smallest term
-        assert min(prev, envelope) < 1e-19 * abs(s), (alpha, x)
-        return float(-s)
+    if log_y > math.log(50.0):
+        with mp.workdps(40):
+            am, xm = mp.mpf(alpha), mp.mpf(x)
+            s = mp.mpf(0)
+            prev = mp.inf
+            for k in range(1, 10000):
+                envelope = xm ** (-k) * mp.gamma(am * k) / mp.pi
+                if envelope > prev or envelope < 1e-22 * abs(s):
+                    break
+                s += (-xm) ** (-k) * mp.rgamma(1 - am * k)
+                prev = envelope
+            if min(prev, envelope) < 1e-19 * abs(s):
+                return float(-s)
+    y = math.exp(log_y)
+    # ml_reference stops within its 5000 terms only while y stays moderate
+    assert y <= 1000.0, (alpha, x)
+    return ml_reference(alpha, 1.0, -x, dps=int(30 + y / math.log(10.0)))
 
 
 def dense_weights(weights) -> np.ndarray:

@@ -6,8 +6,8 @@ import pytest
 from scipy.special import erfc
 
 from conftest import ml_reference, ml_reference_negative
-from fracrelax.grids import DomainError, GridMismatchError, UniformGrid
-from fracrelax import kinetics, verification
+from fracrelax.grids import DomainError, GridFunction, GridMismatchError, UniformGrid
+from fracrelax import kinetics, verification, volterra
 from fracrelax.kinetics import (
     KineticProblem,
     RelaxationInvariantError,
@@ -25,7 +25,11 @@ from fracrelax.kinetics import (
     relaxation_solution,
     relaxation_solution_origin,
 )
-from fracrelax.riemann_liouville import UnsupportedOrderError
+from fracrelax.riemann_liouville import (
+    UnsupportedOrderError,
+    rl_derivative_numeric,
+    rl_integral_numeric,
+)
 from fracrelax.verification import run_verification
 
 # high-precision brute-force values, frozen from 50-digit summation
@@ -273,6 +277,101 @@ class TestCurves:
             assert v2 == pytest.approx(v1, abs=1e-14 * max(1.0, abs(v1)))
             assert v3 == v1
             assert v4 == v2
+
+
+class TestCurveIsAGridFunction:
+    """A SolutionCurve is a GridFunction with a problem and a method tag."""
+
+    P = KineticProblem(nu=0.5, c=1.0, N_a=1.5, a=0.25)
+    GRID = UniformGrid.from_span(0.25, 5.0, 200)
+
+    @classmethod
+    def curves(cls):
+        p, g = cls.P, cls.GRID
+        closed = closed_form_curve(p, g)
+        return {
+            "closed_form": closed,
+            "neumann": neumann_curve(p, g, 30),
+            "oracle": volterra.solve_volterra(p, volterra.OracleConfig(g)),
+            "picard": volterra.solve_volterra(
+                p, volterra.OracleConfig(g, scheme="picard")
+            ),
+            "restricted": kinetics.restrict_curve(
+                closed, UniformGrid.from_span(0.25, 5.0, 100)
+            ),
+        }
+
+    def test_every_producer_returns_a_grid_function(self):
+        for name, curve in self.curves().items():
+            assert isinstance(curve, SolutionCurve), name
+            assert isinstance(curve, GridFunction), name
+            assert curve.problem is self.P, name
+
+    def test_curves_go_into_the_numeric_operators_as_they_are(self):
+        for name, curve in self.curves().items():
+            before = curve.values.copy()
+            plain = GridFunction(grid=curve.grid, values=curve.values.copy())
+            integral = rl_integral_numeric(curve, self.P.nu)
+            assert np.array_equal(
+                integral.values, rl_integral_numeric(plain, self.P.nu).values
+            ), name
+            derivative = rl_derivative_numeric(curve, self.P.nu)
+            assert np.array_equal(
+                derivative.values,
+                rl_derivative_numeric(plain, self.P.nu).values,
+                equal_nan=True,
+            ), name
+            assert np.array_equal(curve.values, before), name
+
+    def make(self, values=None, **overrides):
+        kwargs = dict(
+            problem=self.P,
+            grid=self.GRID,
+            values=np.ones(self.GRID.n + 1) if values is None else values,
+            method_tag="closed_form",
+        )
+        kwargs.update(overrides)
+        return SolutionCurve(**kwargs)
+
+    def test_refuses_an_unknown_method_tag(self):
+        self.make()
+        with pytest.raises(ValueError, match="unknown method tag"):
+            self.make(method_tag="spline")
+
+    def test_refuses_a_grid_that_does_not_start_at_a(self):
+        with pytest.raises(GridMismatchError):
+            self.make(grid=UniformGrid.from_span(0.0, 5.0, 200))
+
+    def test_refuses_a_wrong_shape(self):
+        for values in (np.ones(200), np.ones(202), np.ones((201, 1))):
+            with pytest.raises(GridMismatchError):
+                self.make(values=values)
+
+    @pytest.mark.parametrize("singular", [False, True])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_a_non_finite_value_past_a(self, bad, singular):
+        values = np.ones(self.GRID.n + 1)
+        if singular:
+            values[0] = math.nan
+        values[17] = bad
+        with pytest.raises(DomainError):
+            self.make(values=values, singular_start=singular)
+
+    def test_refuses_a_start_that_does_not_match_the_flag(self):
+        values = np.ones(self.GRID.n + 1)
+        with pytest.raises(DomainError):
+            self.make(values=values, singular_start=True)
+        values[0] = math.nan
+        with pytest.raises(DomainError):
+            self.make(values=values)
+        assert math.isnan(self.make(values=values, singular_start=True).values[0])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_refuses_an_infinite_start(self, bad):
+        values = np.ones(self.GRID.n + 1)
+        values[0] = bad
+        with pytest.raises(DomainError):
+            self.make(values=values)
 
 
 class TestRelaxationInvariant:

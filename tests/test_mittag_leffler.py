@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from scipy.special import erfc
 
 from conftest import ml_reference, ml_reference_negative
+import fracrelax
 from fracrelax import mittag_leffler
 from fracrelax.gammafn import reciprocal_gamma
 from fracrelax.grids import UniformGrid
@@ -420,3 +424,27 @@ class TestCompletelyMonotoneRange:
                 if not cert <= 1e-13:
                     uncertified.append((alpha, x))
         assert uncertified == []
+
+
+class TestAlphaNearOne:
+    """alpha from 0.995 to 0.999 on 10.8 <= x <= 99.9: a band where the
+    contour does not always certify and the mpmath series takes nodes.
+    x = 49.64 and 50.4 lie just past x^(1/alpha) = 50, where the reference
+    switches from the series to the algebraic expansion only if the
+    expansion certifies itself."""
+
+    @pytest.mark.parametrize("alpha", [0.995, 0.9975, 0.998, 0.999])
+    def test_meets_contract_on_the_band(self, alpha):
+        params = MLParams(alpha, 1.0)
+        for x in [*np.linspace(10.8, 99.9, 10), 49.64]:
+            value = ml_eval_detailed(params, -float(x)).value
+            ref = ml_reference_negative(alpha, float(x))
+            assert value == pytest.approx(ref, rel=1e-13, abs=0), x
+
+
+def test_import_does_not_load_mpmath():
+    code = "import sys, fracrelax; sys.exit('mpmath' in sys.modules)"
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(fracrelax.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
