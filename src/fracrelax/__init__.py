@@ -29,13 +29,10 @@ from .kinetics import (
     relaxation_solution_origin,
 )
 from .mittag_leffler import (
-    MLEvalPolicy,
     MLOverflowError,
     MLParams,
     MLResult,
     SeriesConvergenceError,
-    UnsupportedRegimeError,
-    default_policy,
     ml_eval,
     ml_eval_detailed,
     ml_series,
@@ -78,12 +75,9 @@ __all__ = [
     "UniformGrid",
     "GridFunction",
     "MLParams",
-    "MLEvalPolicy",
     "MLResult",
     "SeriesConvergenceError",
-    "UnsupportedRegimeError",
     "MLOverflowError",
-    "default_policy",
     "ml_series",
     "ml_eval",
     "ml_eval_detailed",

@@ -7,7 +7,12 @@ Subcommands:
              partial sum) -> CSV t,N
 * ``verify`` run the closed-form/oracle verification ladder -> report CSV
              plus a human-readable summary; exit 1 on any failed check
-* ``sweep``  oracle comparison over a (nu, mu, c) grid -> CSV matrix
+* ``sweep``  oracle comparison over a (nu, mu, c) grid -> CSV matrix, plus
+             one stderr line per ERROR row
+
+``--tol`` (``verify`` and ``sweep``) overrides the oracle/closed-form
+agreement tolerance; ``ml`` has none, as every value it prints is certified
+to ~1e-13 relative.
 
 Output files are byte-reproducible: fixed 17-significant-digit formatting,
 no timestamps in data (timings go to the summary channel only).  Singular
@@ -21,7 +26,6 @@ SeriesConvergenceError), reported on one ``error:`` line.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .grids import UniformGrid
@@ -34,8 +38,6 @@ from .mittag_leffler import (
     MLOverflowError,
     MLParams,
     SeriesConvergenceError,
-    UnsupportedRegimeError,
-    default_policy,
     ml_eval_detailed,
 )
 from .verification import (
@@ -83,7 +85,6 @@ def _add_problem_flags(sub: argparse.ArgumentParser, lists: bool = False) -> Non
     )
     sub.add_argument("--n", type=int, default=None, help="grid steps")
     sub.add_argument("--out", type=str, default=None, help="CSV output path")
-    sub.add_argument("--tol", type=float, default=None, help="tolerance override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     ml.add_argument("--beta", type=float, default=1.0)
     ml.add_argument("--z", type=float, nargs="+", required=True, help="evaluation points")
     ml.add_argument("--out", type=str, default=None)
-    ml.add_argument("--tol", type=float, default=None, help="series stopping tolerance")
 
     solve = subs.add_parser("solve", help="produce a solution curve as CSV t,N")
     _add_problem_flags(solve)
@@ -115,15 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify = subs.add_parser("verify", help="run the verification ladder")
     _add_problem_flags(verify)
     verify.add_argument("--levels", type=int, default=3, help="grid halvings (>= 2)")
-    verify.add_argument(
-        "--closed-form-scale",
-        type=float,
-        default=1.0,
-        help=argparse.SUPPRESS,  # failure-injection hook for tests
-    )
 
     sweep = subs.add_parser("sweep", help="sweep (nu, mu, c) against the oracle")
     _add_problem_flags(sweep, lists=True)
+    for sub in (verify, sweep):  # solve compares nothing, so it takes no --tol
+        sub.add_argument("--tol", type=float, default=None, help="tolerance override")
 
     return parser
 
@@ -154,17 +150,14 @@ def _grid_from_args(args, problem: KineticProblem, default_n: int) -> UniformGri
 
 def _cmd_ml(args) -> int:
     params = MLParams(alpha=args.alpha, beta=args.beta)
-    policy = default_policy(params)
-    if args.tol is not None:
-        policy = dataclasses.replace(policy, series_tol=args.tol)
     lines = ["z,value,regime,terms"]
     for z in args.z:
         try:
-            res = ml_eval_detailed(params, z, policy)
+            res = ml_eval_detailed(params, z)
             lines.append(
                 f"{format_real(z)},{format_real(res.value)},{res.regime},{res.terms}"
             )
-        except (UnsupportedRegimeError, MLOverflowError, SeriesConvergenceError) as e:
+        except (MLOverflowError, SeriesConvergenceError) as e:
             lines.append(f"{format_real(z)},NA,error,0")
             print(f"z={format_real(z)}: {type(e).__name__}: {e}", file=sys.stderr)
     _emit("\n".join(lines) + "\n", args.out, data_to_stdout=True)
@@ -223,7 +216,6 @@ def _cmd_verify(args) -> int:
         base_n=base_n,
         levels=args.levels,
         oracle_tol=args.tol,
-        closed_form_scale=args.closed_form_scale,
     )
     _emit(report.to_csv_text(), args.out, data_to_stdout=args.out is None)
     summary_stream = sys.stdout if args.out is not None else sys.stderr
@@ -244,6 +236,14 @@ def _cmd_sweep(args) -> int:
         tol=args.tol,
     )
     _emit(sweep_csv_text(rows), args.out, data_to_stdout=True)
+    for row in rows:
+        if row.failure is not None:
+            mu_txt = "" if row.mu is None else format_real(row.mu)
+            print(
+                f"nu={format_real(row.nu)},mu={mu_txt},c={format_real(row.c)}: "
+                f"{row.failure}",
+                file=sys.stderr,
+            )
     n_passed = sum(row.passed for row in rows)
     print(f"sweep: {n_passed}/{len(rows)} rows passed", file=sys.stderr)
     return 0 if n_passed > 0 else 1

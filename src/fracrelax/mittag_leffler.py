@@ -7,9 +7,10 @@ where the series alternates and cancels once |z| is moderate.  ``ml_eval``
 gives a node the first regime below that covers it and certifies its value
 to ~1e-13 relative:
 
-1. Series, for z >= -asymptotic_switch: Kahan-compensated double-precision
-   summation.  A rounding estimate built from the largest partial sum and
-   the term count decides whether the result can be trusted.  It is kept
+1. Series, for z >= -10 alpha, and for every z when alpha >= 2:
+   Kahan-compensated double-precision summation.  A rounding estimate
+   built from the largest partial sum and the term count decides whether
+   the result can be trusted.  It is kept
    wherever it certifies, because there it is accurate to a few ulp, which
    the Neumann-envelope checks at |z| <= 1 rely on.  For z = -x < -1 and
    alpha < 2 the series' peak term T_k, near k = x^(1/alpha)/alpha, gives
@@ -18,7 +19,7 @@ to ~1e-13 relative:
    1e-13 |E|, the contour below is evaluated first, and its value is
    returned without the pass once the floor exceeds 1.02e-13 times it: the
    pass provably fails there.  The skip never changes a value.
-2. Asymptotic, for z < -asymptotic_switch: the algebraic expansion
+2. Asymptotic, for z < -10 alpha and alpha < 2: the algebraic expansion
 
        E[alpha, beta](z) ~ -sum_{k>=1} z^-k / Gamma(beta - alpha k)
 
@@ -52,8 +53,7 @@ to ~1e-13 relative:
    significant digits.  The arguments alpha k + beta are formed in mpmath:
    a one-ulp error in a Gamma argument, times a term peak of 1e20, would
    otherwise survive as garbage that the precision check still accepts.
-   Far out, where even that is infeasible, an asymptotic value certified to
-   1e-6 is returned.
+   Far out, where even that is infeasible, SeriesConvergenceError is raised.
 """
 
 from __future__ import annotations
@@ -69,12 +69,9 @@ from .gammafn import reciprocal_gamma
 
 __all__ = [
     "MLParams",
-    "MLEvalPolicy",
     "MLResult",
     "SeriesConvergenceError",
-    "UnsupportedRegimeError",
     "MLOverflowError",
-    "default_policy",
     "ml_series",
     "ml_eval",
     "ml_eval_detailed",
@@ -86,9 +83,14 @@ _EPS = 2.220446049250313e-16
 # tolerance (1e-12 in the classical-limit check).
 _TARGET_REL = 1e-13
 _CERT_SAFETY = 10.0
-# Asymptotic values up to this certified error are still returned when the
-# series alternative would need an infeasible working precision.
-_FALLBACK_REL = 1e-6
+# Stopping tolerance of the double pass, relative to max(|partial sum|, 1),
+# and the term cap of every series pass.
+_SERIES_TOL = 1e-16
+_MAX_TERMS = 10_000
+# Term cap of the asymptotic expansion, used on z < -10 alpha for alpha < 2:
+# the series' term peak is governed by Gamma(alpha k + beta), and for
+# alpha >= 2 the series converges so fast that it covers the whole axis.
+_ASYMPTOTIC_TERMS = 20
 _MAX_DPS = 1200
 _MP_ROUNDS = 6
 # exp overflows past ~709; E[alpha](z) ~ exp(z^(1/alpha))/alpha for z -> +inf.
@@ -136,10 +138,6 @@ class SeriesConvergenceError(ArithmeticError):
     """Stopping rule did not fire within the permitted number of terms."""
 
 
-class UnsupportedRegimeError(ValueError):
-    """Far negative axis with alpha >= 2: outside the accuracy contract."""
-
-
 class MLOverflowError(OverflowError):
     """E[alpha, beta](z) exceeds double range for large positive z."""
 
@@ -156,38 +154,6 @@ class MLParams:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
         if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
-
-
-@dataclass(frozen=True)
-class MLEvalPolicy:
-    """Evaluation controls: stopping tolerance, term caps, regime switch."""
-
-    series_tol: float = 1e-16
-    max_terms: int = 10000
-    asymptotic_switch: float = math.inf
-    asymptotic_terms: int = 20
-
-    def __post_init__(self):
-        if not self.series_tol > 0.0:
-            raise ValueError("series_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if not self.asymptotic_switch > 0.0:
-            raise ValueError("asymptotic_switch must be positive")
-        if self.asymptotic_terms < 1:
-            raise ValueError("asymptotic_terms must be >= 1")
-
-
-@lru_cache(maxsize=64)
-def default_policy(params: MLParams) -> MLEvalPolicy:
-    """Default policy for the given parameters.
-
-    The series/asymptotic switch scales with alpha because the term peak of
-    the series is governed by Gamma(alpha k + beta).  For alpha >= 2 the
-    series converges so fast that it is used on the whole axis.
-    """
-    switch = 10.0 * params.alpha if params.alpha < 2.0 else math.inf
-    return MLEvalPolicy(asymptotic_switch=switch)
 
 
 @dataclass(frozen=True)
@@ -211,13 +177,14 @@ def _series_coefficients(alpha: float, beta: float, size: int) -> tuple[float, .
     return tuple(reciprocal_gamma(alpha * k + beta) for k in range(size))
 
 
-def _sum_double(params: MLParams, z: float, tol: float, max_terms: int):
+def _sum_double(params: MLParams, z: float):
     """Kahan-compensated double pass on Python floats.
 
     Returns (value, terms_used, max_magnitude) or (None, k, max_magnitude)
     when a power overflowed (caller escalates or reports overflow).  The
     coefficients come from a table of 64 4^j entries.
     """
+    tol, max_terms = _SERIES_TOL, _MAX_TERMS
     s = comp = max_mag = abs_s = 0.0
     zk = 1.0
     grows = abs(z) > 1.0  # only then can z^k overflow
@@ -269,11 +236,11 @@ def _mp_rgamma(alpha: float, beta: float, k: int):
     return v
 
 
-def _sum_mp(params: MLParams, z: float, dps: int, max_terms: int):
+def _sum_mp(params: MLParams, z: float, dps: int):
     """Extended-precision pass; returns (value, terms, digits_lost).
 
-    The stopping tolerance follows the working precision rather than the
-    policy tolerance: with heavy cancellation the partial sums pass through
+    The stopping tolerance follows the working precision rather than
+    _SERIES_TOL: with heavy cancellation the partial sums pass through
     magnitudes far above the limit, and a fixed 1e-16 cut would truncate the
     tail at an absolute level that can exceed the result itself.
     """
@@ -284,7 +251,7 @@ def _sum_mp(params: MLParams, z: float, dps: int, max_terms: int):
         zk = mp.mpf(1)
         max_t = mp.mpf(0)
         stop = mp.mpf(10) ** (-(dps - 3))
-        for k in range(max_terms + 1):
+        for k in range(_MAX_TERMS + 1):
             term = zk * _mp_rgamma(alpha, beta, k)
             if k >= 1 and abs(term) < stop * max(1, abs(s)):
                 lost = (
@@ -300,7 +267,7 @@ def _sum_mp(params: MLParams, z: float, dps: int, max_terms: int):
             zk *= zm
     raise SeriesConvergenceError(
         f"series for E[{alpha}, {beta}]({z}) did not satisfy the stopping "
-        f"rule within {max_terms} terms at {dps} digits"
+        f"rule within {_MAX_TERMS} terms at {dps} digits"
     )
 
 
@@ -317,7 +284,7 @@ def _peak_log10_term(params: MLParams, z: float) -> float:
     return (k_star * math.log(az) - math.lgamma(arg)) / math.log(10.0)
 
 
-def _series_double(params: MLParams, z: float, policy: MLEvalPolicy):
+def _series_double(params: MLParams, z: float):
     """Double pass with its rounding certificate.
 
     Returns (value, terms_used, digits_lost); value is None when the pass
@@ -329,7 +296,7 @@ def _series_double(params: MLParams, z: float, policy: MLEvalPolicy):
         raise MLOverflowError(
             f"E[{params.alpha}, {params.beta}]({z}) exceeds double range"
         )
-    res, k, max_mag = _sum_double(params, z, policy.series_tol, policy.max_terms)
+    res, k, max_mag = _sum_double(params, z)
     if res is None:
         if z > 0.0:
             raise MLOverflowError(
@@ -345,7 +312,7 @@ def _series_double(params: MLParams, z: float, policy: MLEvalPolicy):
     return None, k, lost
 
 
-def _pass_floor(params: MLParams, z: float, policy: MLEvalPolicy) -> float:
+def _pass_floor(params: MLParams, z: float) -> float:
     """Floor on the rounding estimate of a certifying double pass at z = -x.
 
     The term sizes T_j = x^j / Gamma(alpha j + beta) are log-concave in j:
@@ -356,20 +323,20 @@ def _pass_floor(params: MLParams, z: float, policy: MLEvalPolicy) -> float:
 
     * a pass that adds term k has max_mag >= T_k and more than k terms;
     * a pass that stops while its terms still rise has summed less than
-      max_terms series_tol <= 1e-2 of max(|E|, 1), while its estimate is
+      _MAX_TERMS _SERIES_TOL = 1e-12 of max(|E|, 1), while its estimate is
       at least 6 eps: it cannot certify;
     * a pass that stops after the peak but before k has T_k below
-      series_tol max(|E|, 1), so |E| > T_k / series_tol, far above the
+      _SERIES_TOL max(|E|, 1), so |E| > T_k / _SERIES_TOL, far above the
       |E| < 1e-2 (4 + 2 sqrt(k)) T_k at which the floor rules a pass out.
 
     The factor 1 - 1e-9 covers the rounding of T_k and of the pass's terms.
     """
     alpha, beta = params.alpha, params.beta
-    if z >= -1.0 or alpha >= 2.0 or policy.series_tol * policy.max_terms > 1e-2:
+    if z >= -1.0 or alpha >= 2.0:
         return 0.0
     lx = math.log(-z)
     k_star = math.exp(lx / alpha) / alpha
-    if k_star > policy.max_terms:
+    if k_star > _MAX_TERMS:
         return 0.0
     k = math.floor(k_star)
     log_t = k * lx - math.lgamma(alpha * k + beta)
@@ -405,7 +372,7 @@ def _pass_looks_doomed(params: MLParams, x: float, floor: float) -> bool:
     return floor * (b + c * x) > _TARGET_REL * a
 
 
-def _series_mp(params: MLParams, z: float, policy: MLEvalPolicy, lost: float):
+def _series_mp(params: MLParams, z: float, lost: float):
     """Escalating mpmath passes, starting from ``lost`` digits of headroom.
 
     Returns (value, terms_used) accurate to ~_TARGET_REL relative, or raises
@@ -423,7 +390,7 @@ def _series_mp(params: MLParams, z: float, policy: MLEvalPolicy, lost: float):
                 f"series for E[{params.alpha}, {params.beta}]({z}) exceeded "
                 f"the {_MAX_DPS}-digit working-precision cap"
             )
-        val, k, lost = _sum_mp(params, z, dps, policy.max_terms)
+        val, k, lost = _sum_mp(params, z, dps)
         if dps - lost >= 17.0:
             return val, k
         dps = int(lost + 27)
@@ -431,18 +398,6 @@ def _series_mp(params: MLParams, z: float, policy: MLEvalPolicy, lost: float):
         f"series for E[{params.alpha}, {params.beta}]({z}) did not stabilise "
         f"after {_MP_ROUNDS} precision escalations"
     )
-
-
-def _series_adaptive(params: MLParams, z: float, policy: MLEvalPolicy):
-    """Full series ladder: double pass, then escalating mpmath passes.
-
-    Returns (value, terms_used) accurate to ~_TARGET_REL relative, or raises
-    SeriesConvergenceError / MLOverflowError.
-    """
-    value, k, lost = _series_double(params, z, policy)
-    if value is not None:
-        return value, k
-    return _series_mp(params, z, policy, lost)
 
 
 @lru_cache(maxsize=32)
@@ -558,11 +513,15 @@ def _asymptotic_negative(params: MLParams, z: float, cap: int):
     return value, err / abs(value), used
 
 
-def ml_series(params: MLParams, z: float, policy: MLEvalPolicy | None = None) -> float:
-    """Series evaluation of E[alpha, beta](z) (any real z it can resolve)."""
-    if policy is None:
-        policy = default_policy(params)
-    value, _ = _series_adaptive(params, z, policy)
+def ml_series(params: MLParams, z: float) -> float:
+    """Series evaluation of E[alpha, beta](z) (any real z it can resolve).
+
+    The double pass, then escalating mpmath passes where it does not
+    certify; raises SeriesConvergenceError or MLOverflowError.
+    """
+    value, _, lost = _series_double(params, z)
+    if value is None:
+        value, _ = _series_mp(params, z, lost)
     return value
 
 
@@ -584,55 +543,40 @@ def _quadrature(params: MLParams, z: float):
     return None, _peak_log10_term(params, z) - math.log10(abs(value))
 
 
-def ml_eval_detailed(
-    params: MLParams, z: float, policy: MLEvalPolicy | None = None
-) -> MLResult:
+def ml_eval_detailed(params: MLParams, z: float) -> MLResult:
     """Evaluate E[alpha, beta](z) and report the regime and terms used."""
-    if policy is None:
-        policy = default_policy(params)
     z = float(z)  # a numpy scalar would slow every term of the double pass
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
-    inner = z >= -policy.asymptotic_switch
+    inner = params.alpha >= 2.0 or z >= -10.0 * params.alpha
     quadrature = None  # (MLResult or None, lost) once evaluated
     if inner:
-        floor = _pass_floor(params, z, policy)
+        floor = _pass_floor(params, z)
         if floor > 0.0 and _pass_looks_doomed(params, -z, floor):
             quadrature = _quadrature(params, z)
             quad = quadrature[0]
             if quad is not None and floor > _SKIP_MARGIN * _TARGET_REL * abs(quad.value):
                 return quad
-        value, terms, lost = _series_double(params, z, policy)
+        value, terms, lost = _series_double(params, z)
         if value is not None:
             return MLResult(value, "series", terms)
     else:
-        if params.alpha >= 2.0:
-            raise UnsupportedRegimeError(
-                f"z = {z} below -asymptotic_switch with alpha = {params.alpha} >= 2 "
-                "is outside the accuracy contract"
-            )
-        asym = _asymptotic_negative(params, z, policy.asymptotic_terms)
+        asym = _asymptotic_negative(params, z, _ASYMPTOTIC_TERMS)
         if asym is not None and _CERT_SAFETY * asym[1] <= _TARGET_REL:
             return MLResult(asym[0], "asymptotic", asym[2])
     quad, quad_lost = quadrature or _quadrature(params, z)
     if quad is not None:
         return quad
-    if inner:
-        if quad_lost is not None:
-            lost = quad_lost
-        value, terms = _series_mp(params, z, policy, lost)
-        return MLResult(value, "series", terms)
-    try:
-        value, terms = _series_adaptive(params, z, policy)
-        return MLResult(value, "series", terms)
-    except SeriesConvergenceError:
-        # Series infeasible this far out; a certified-to-1e-6 asymptotic
-        # value is still an honest answer at the contract boundary.
-        if asym is not None and _CERT_SAFETY * asym[1] <= _FALLBACK_REL:
-            return MLResult(asym[0], "asymptotic", asym[2])
-        raise
+    if not inner:
+        value, terms, lost = _series_double(params, z)
+        if value is not None:
+            return MLResult(value, "series", terms)
+    elif quad_lost is not None:
+        lost = quad_lost
+    value, terms = _series_mp(params, z, lost)
+    return MLResult(value, "series", terms)
 
 
-def ml_eval(params: MLParams, z: float, policy: MLEvalPolicy | None = None) -> float:
+def ml_eval(params: MLParams, z: float) -> float:
     """E[alpha, beta](z) for real z; accurate to ~1e-13 relative in contract."""
-    return ml_eval_detailed(params, z, policy).value
+    return ml_eval_detailed(params, z).value

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -143,13 +143,8 @@ def run_verification(
     base_n: int = 250,
     levels: int = 3,
     oracle_tol: float | None = None,
-    closed_form_scale: float = 1.0,
 ) -> VerificationReport:
-    """Run the verification ladder; see the module docstring for the checks.
-
-    ``closed_form_scale`` deliberately corrupts the closed-form curve (a
-    test hook demonstrating that the comparison has the power to fail).
-    """
+    """Run the verification ladder; see the module docstring for the checks."""
     if levels < 2:
         raise ValueError("verification needs at least 2 grid levels")
     if base_n < 2 * MASK_STEPS:
@@ -163,12 +158,7 @@ def run_verification(
 
     t0 = time.perf_counter()
     finest = closed_form_curve(problem, grids[-1])
-    closed = []
-    for grid in grids:
-        curve = finest if grid is grids[-1] else restrict_curve(finest, grid)
-        if closed_form_scale != 1.0:
-            curve = replace(curve, values=curve.values * closed_form_scale)
-        closed.append(curve)
+    closed = [restrict_curve(finest, grid) for grid in grids[:-1]] + [finest]
     report.timings["closed_form"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -293,8 +283,10 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Cartesian sweep (nu outer, mu middle, c inner), one row per combo.
 
-    Rows that raise are recorded with an ERROR marker and the sweep
-    continues; ordering is deterministic.
+    Rows that raise one of the package's error families (ArithmeticError,
+    ValueError) are recorded with an ERROR marker and ``failure`` set to
+    ``"<ErrorType>: <message>"``, and the sweep continues; any other
+    exception propagates.  Ordering is deterministic.
     """
     if not nus or not mus or not cs:
         raise ValueError("sweep ranges must be non-empty")
@@ -316,9 +308,10 @@ def _sweep_cell(nu, mu, c, N_a, a, span, n, tol) -> SweepRow:
         oracle = solve_volterra(problem, OracleConfig(grid=grid))
         max_err, _ = _masked_errors(oracle, closed)
         return SweepRow(nu, mu, c, n, max_err, cell_tol, max_err <= cell_tol)
-    except Exception as exc:  # per-row containment: the sweep must go on
+    except (ArithmeticError, ValueError) as exc:  # the package's error families
         fallback_tol = tol if tol is not None else math.nan
-        return SweepRow(nu, mu, c, n, None, fallback_tol, False, failure=str(exc))
+        failure = f"{type(exc).__name__}: {exc}"
+        return SweepRow(nu, mu, c, n, None, fallback_tol, False, failure=failure)
 
 
 def sweep_csv_text(rows: list[SweepRow]) -> str:

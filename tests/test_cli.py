@@ -1,10 +1,13 @@
+import dataclasses
 import math
 import subprocess
 import sys
 
 import pytest
 
+from fracrelax import verification
 from fracrelax.cli import main
+from fracrelax.verification import run_sweep
 
 
 def run_cli(args):
@@ -53,18 +56,12 @@ class TestMlCommand:
     def test_invalid_params_exit_2(self, capsys):
         assert main(["ml", "--alpha", "-1", "--z", "0"]) == 2
 
-    def test_tol_overrides_only_the_series_tolerance(self, capsys):
-        # the default switch (10 alpha) still sends z = -30 to the expansion
-        args = ["ml", "--alpha", "0.5", "--z", "-0.5", "-30"]
-        assert main(args) == 0
-        default = parse_csv(capsys.readouterr().out)[1]
-        assert main([*args, "--tol", "1e-12"]) == 0
-        _, rows = parse_csv(capsys.readouterr().out)
-        assert [r[2] for r in rows] == [r[2] for r in default] == ["series", "asymptotic"]
-        assert rows[1] == default[1]
-        assert int(rows[0][3]) < int(default[0][3])
-        assert float(rows[0][1]) == pytest.approx(float(default[0][1]), rel=1e-11)
-        assert main([*args, "--tol", "0"]) == 2
+    def test_no_tolerance_option(self, capsys):
+        # a loose series stopping tolerance once returned E[1/2](-1/2)
+        # 8.8e-4 off, labelled as certified
+        with pytest.raises(SystemExit) as exc:
+            main(["ml", "--alpha", "0.5", "--z", "-0.5", "--tol", "1e-3"])
+        assert exc.value.code == 2
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "ml.csv"
@@ -117,6 +114,12 @@ class TestSolveCommand:
     def test_bad_problem_exit_2(self):
         assert main(["solve", "--nu", "-0.5", "--c", "1"]) == 2
 
+    def test_no_tolerance_option(self, capsys):
+        # solve compares nothing, so a tolerance would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--nu", "0.5", "--c", "1", "--tol", "1e-9"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("args, error", [
         # E[1](-x) is out of the evaluator's reach from x ~ 336 on; n = 2
         # reaches x = 400 at the first node
@@ -151,11 +154,19 @@ class TestVerifyCommand:
         assert text.startswith("criterion,grid_n,metric,value,threshold,pass\n")
         assert ",false" not in text
 
-    def test_corrupted_closed_form_fails(self, tmp_path):
+    def test_corrupted_closed_form_fails(self, tmp_path, monkeypatch):
+        # halved, the curve keeps the relaxation invariant but misses the oracle
+        closed_form_curve = verification.closed_form_curve
+
+        def halved(problem, grid):
+            curve = closed_form_curve(problem, grid)
+            return dataclasses.replace(curve, values=curve.values * 0.5)
+
+        monkeypatch.setattr(verification, "closed_form_curve", halved)
         out = tmp_path / "report.csv"
         rc = main(
             ["verify", "--nu", "0.5", "--c", "1", "--n", "80", "--levels", "2",
-             "--closed-form-scale", "2.0", "--out", str(out)]
+             "--out", str(out)]
         )
         assert rc == 1
         assert ",false" in out.read_text()  # report still written
@@ -202,6 +213,29 @@ class TestSweepCommand:
         _, rows = parse_csv(capsys.readouterr().out)
         assert len(rows) == 2
         assert float(rows[0][1]) == 1.0 and float(rows[1][1]) == 1.5
+
+    def test_error_row_named_on_stderr(self, capsys):
+        # the oracle's resolvent is unstable at nu = 1.95 on this grid; at
+        # nu = 0.5 the grid is merely too coarse for the tolerance
+        rc = main(["sweep", "--nu", "0.5,1.95", "--c", "1000", "--T", "5", "--n", "300"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        _, rows = parse_csv(captured.out)
+        assert [r[4] == "ERROR" for r in rows] == [False, True]
+        assert [r[6] for r in rows] == ["false", "false"]
+        named = captured.err.splitlines()
+        assert len(named) == 2
+        assert named[0].startswith(
+            f"nu={rows[1][0]},mu=,c={rows[1][2]}: UnstableResolventError: ")
+        assert named[1] == "sweep: 0/2 rows passed"
+
+    def test_programming_error_is_not_contained(self, monkeypatch):
+        def broken(problem, grid):
+            raise TypeError("not a package error")
+
+        monkeypatch.setattr(verification, "closed_form_curve", broken)
+        with pytest.raises(TypeError):
+            run_sweep(nus=[0.5], mus=[None], cs=[1.0], n=50)
 
     def test_empty_range_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,7 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, erfcx
 
 from conftest import ml_reference, ml_reference_negative
 import fracrelax
@@ -15,12 +15,9 @@ from fracrelax.gammafn import reciprocal_gamma
 from fracrelax.grids import UniformGrid
 from fracrelax.kinetics import KineticProblem, closed_form_curve
 from fracrelax.mittag_leffler import (
-    MLEvalPolicy,
     MLOverflowError,
     MLParams,
     SeriesConvergenceError,
-    UnsupportedRegimeError,
-    default_policy,
     ml_eval,
     ml_eval_detailed,
     ml_series,
@@ -28,28 +25,32 @@ from fracrelax.mittag_leffler import (
 )
 
 
-class TestParamsAndPolicy:
+class TestParamsAndSwitch:
     @pytest.mark.parametrize("alpha,beta", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
                                             (math.nan, 1.0), (1.0, math.inf)])
     def test_invalid_params(self, alpha, beta):
         with pytest.raises(ValueError):
             MLParams(alpha, beta)
 
-    def test_invalid_policy(self):
-        with pytest.raises(ValueError):
-            MLEvalPolicy(series_tol=0.0)
-        with pytest.raises(ValueError):
-            MLEvalPolicy(max_terms=0)
-        with pytest.raises(ValueError):
-            MLEvalPolicy(asymptotic_switch=-1.0)
-        with pytest.raises(ValueError):
-            MLEvalPolicy(asymptotic_terms=0)
+    def test_switch_at_ten_alpha(self, monkeypatch):
+        # the asymptotic expansion is tried exactly on z < -10 alpha
+        tried = []
+        expansion = mittag_leffler._asymptotic_negative
 
-    def test_default_policy_switch(self):
-        assert default_policy(MLParams(1.0)).asymptotic_switch == 10.0
-        assert default_policy(MLParams(0.4)).asymptotic_switch == 4.0
+        def spy(params, z, cap):
+            tried.append(z)
+            return expansion(params, z, cap)
+
+        monkeypatch.setattr(mittag_leffler, "_asymptotic_negative", spy)
+        for alpha, switch in ((1.0, 10.0), (0.4, 4.0)):
+            ml_eval(MLParams(alpha), -switch)
+            assert tried == []
+            ml_eval(MLParams(alpha), -switch * (1 + 1e-9))
+            assert tried == [-switch * (1 + 1e-9)]
+            tried.clear()
         # rapid series convergence for alpha >= 2: series on the whole axis
-        assert default_policy(MLParams(2.0)).asymptotic_switch == math.inf
+        assert ml_eval_detailed(MLParams(2.0), -300.0).regime == "series"
+        assert tried == []
 
 
 class TestSeriesValues:
@@ -73,6 +74,12 @@ class TestSeriesValues:
     def test_erfc_identity_point(self):
         expected = math.e * erfc(1.0)
         assert ml_eval(MLParams(0.5, 1.0), -1.0) == pytest.approx(expected, rel=1e-12)
+
+    def test_erfcx_point_meets_contract(self):
+        # E[1/2](-x) = erfcx(x); a 1e-3 series stopping tolerance once
+        # returned a certified value 8.8e-4 off here
+        res = ml_eval_detailed(MLParams(0.5), -0.5)
+        assert res.value == pytest.approx(erfcx(0.5), rel=1e-13, abs=0)
 
     def test_heavy_cancellation(self):
         # plain double summation would lose every digit here
@@ -123,14 +130,14 @@ class TestRegimes:
         params = MLParams(0.5, 1.0)
         res = ml_eval_detailed(params, -15.0)
         assert res.regime == "asymptotic"
-        forced_series = ml_series(params, -15.0, MLEvalPolicy())
+        forced_series = ml_series(params, -15.0)
         assert res.value == pytest.approx(forced_series, rel=1e-10)
 
     def test_handoff_continuity(self):
         # values on both sides of the default switch agree far inside 1e-6
         for alpha in (0.4, 0.6, 1.0):
             params = MLParams(alpha, 1.0)
-            s = default_policy(params).asymptotic_switch
+            s = 10.0 * alpha
             lo = ml_eval(params, -s * (1 + 1e-9))
             hi = ml_eval(params, -s * (1 - 1e-9))
             assert lo == pytest.approx(hi, rel=1e-6)
@@ -142,11 +149,8 @@ class TestRegimes:
         assert res.regime == "series"
         assert res.value == pytest.approx(math.exp(-30.0), rel=1e-12)
 
-    def test_unsupported_regime_for_large_alpha_explicit_switch(self):
-        policy = MLEvalPolicy(asymptotic_switch=5.0)
-        with pytest.raises(UnsupportedRegimeError):
-            ml_eval(MLParams(2.5, 1.0), -10.0, policy)
-        # with the default policy the series handles the same argument
+    def test_large_alpha_far_argument_uses_series(self):
+        # alpha >= 2 has no asymptotic regime: the series covers z = -10
         val = ml_eval(MLParams(2.5, 1.0), -10.0)
         assert val == pytest.approx(ml_reference(2.5, 1.0, -10.0), rel=1e-12)
 
@@ -156,10 +160,10 @@ class TestRegimes:
         with pytest.raises(MLOverflowError):
             ml_eval(MLParams(0.5, 1.0), 30.0**2)
 
-    def test_non_convergence_signal(self):
-        policy = MLEvalPolicy(max_terms=5)
+    def test_non_convergence_signal(self, monkeypatch):
+        monkeypatch.setattr(mittag_leffler, "_MAX_TERMS", 5)
         with pytest.raises(SeriesConvergenceError):
-            ml_series(MLParams(1.0, 1.0), -30.0, policy)
+            ml_series(MLParams(1.0, 1.0), -30.0)
 
     def test_nonfinite_argument(self):
         with pytest.raises(ValueError):
@@ -190,7 +194,7 @@ class TestNonDyadicNegativeAxis:
     @pytest.mark.parametrize("alpha", [0.3, 0.4, 0.6, 0.7, 0.9])
     def test_both_sides_of_switch(self, alpha):
         params = MLParams(alpha, 1.0)
-        s = default_policy(params).asymptotic_switch
+        s = 10.0 * alpha
         xs = [0.5, 1.0, 2.0, 0.5 * s, 0.9 * s, s * (1 - 1e-9), s,
               s * (1 + 1e-9), 1.5 * s, 3.0 * s, 10.0, 30.0]
         for x in xs:
@@ -215,7 +219,7 @@ class TestNonDyadicNegativeAxis:
         monkeypatch.setattr(mittag_leffler, "_sum_mp", forbidden)
         for alpha in (0.3, 0.6, 0.9):
             params = MLParams(alpha, 1.0)
-            s = default_policy(params).asymptotic_switch
+            s = 10.0 * alpha
             values = [ml_eval(params, -x) for x in np.linspace(0.05, 3.0 * s, 200)]
             assert all(0.0 < v <= 1.0 for v in values)
             assert all(b <= a for a, b in zip(values, values[1:]))
@@ -249,7 +253,7 @@ class TestDoublePassCertificate:
     def test_certified_values_meet_contract(self, alpha, x):
         params = MLParams(alpha, 1.0)
         ref = ml_reference_negative(alpha, x)
-        value, _, _ = mittag_leffler._series_double(params, -x, default_policy(params))
+        value, _, _ = mittag_leffler._series_double(params, -x)
         if value is not None:  # certified
             assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
         assert ml_series(params, -x) == pytest.approx(ref, rel=1e-13, abs=0.0)
@@ -340,7 +344,7 @@ class TestDoomedPassSkip:
 
     @staticmethod
     def certified_pass(params, z):
-        return mittag_leffler._series_double(params, z, default_policy(params))[0]
+        return mittag_leffler._series_double(params, z)[0]
 
     @pytest.mark.parametrize("alpha", SKIP_ALPHAS)
     def test_certifying_pass_is_never_skipped(self, alpha):
@@ -364,12 +368,10 @@ class TestDoomedPassSkip:
         positive = 0
         for beta in sorted({alpha, 0.5, 1.0, 1.3, 1.5, 2.0}):
             params = MLParams(alpha, beta)
-            policy = default_policy(params)
             for x in np.linspace(1.0, 10.0 * alpha, 41)[1:]:
-                floor = mittag_leffler._pass_floor(params, -x, policy)
+                floor = mittag_leffler._pass_floor(params, -x)
                 positive += floor > 0.0
-                s, k, max_mag = mittag_leffler._sum_double(
-                    params, -x, policy.series_tol, policy.max_terms)
+                s, k, max_mag = mittag_leffler._sum_double(params, -x)
                 est = mittag_leffler._EPS * (4.0 + 2.0 * math.sqrt(k)) * max(max_mag, 1.0)
                 if s is not None and s != 0.0 and est <= 1e-13 * abs(s):
                     assert floor <= est, (beta, x)
@@ -385,7 +387,7 @@ class TestDoomedPassSkip:
                    for j in (k, k + 1))
         expected = mittag_leffler._EPS * (4 + 2 * math.sqrt(j)) * float(t) * (1 - 1e-9)
         params = MLParams(alpha, beta)
-        floor = mittag_leffler._pass_floor(params, -x, default_policy(params))
+        floor = mittag_leffler._pass_floor(params, -x)
         assert t >= 1 and floor == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_skip_returns_the_quadrature(self, monkeypatch):
