@@ -35,7 +35,6 @@ from .mittag_leffler import (
     SeriesConvergenceError,
     ml_eval,
     ml_eval_detailed,
-    ml_series,
 )
 from .riemann_liouville import (
     QuadratureWeights,
@@ -78,7 +77,6 @@ __all__ = [
     "MLResult",
     "SeriesConvergenceError",
     "MLOverflowError",
-    "ml_series",
     "ml_eval",
     "ml_eval_detailed",
     "QuadratureWeights",

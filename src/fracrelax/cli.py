@@ -28,7 +28,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .grids import UniformGrid
+from .grids import MAX_NODES, UniformGrid
 from .kinetics import (
     KineticProblem,
     closed_form_curve,
@@ -140,6 +140,8 @@ def _steps_from_args(args, default_n: int) -> int:
     n = default_n if args.n is None else args.n
     if n < 1:
         raise UsageError(f"--n must be >= 1, got {n}")
+    if n > MAX_NODES:
+        raise UsageError(f"--n must be <= {MAX_NODES}, got {n}")
     return n
 
 

@@ -1,4 +1,4 @@
-"""Uniform time meshes and sampled functions on them."""
+"""Uniform time meshes of at most MAX_NODES steps, and sampled functions on them."""
 
 from __future__ import annotations
 
@@ -8,7 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["DomainError", "GridMismatchError", "UniformGrid", "GridFunction"]
+__all__ = ["MAX_NODES", "DomainError", "GridMismatchError", "UniformGrid", "GridFunction"]
+
+# Checked wherever a grid is made, so no curve, weight set or oracle solve is
+# asked for above it: at the cap the weights plus the solve peak below 100 MB.
+MAX_NODES = 1_000_000
 
 
 class DomainError(ValueError):
@@ -20,13 +24,15 @@ class GridMismatchError(ValueError):
 
 
 def _check_steps(n) -> None:
-    """DomainError unless n is an integer (numpy integers pass) and n >= 1."""
+    """DomainError unless n is an integer (numpy integers pass), 1 <= n <= MAX_NODES."""
     try:
         steps = operator.index(n)
     except TypeError:
         raise DomainError(f"grid step count must be an integer, got {n!r}") from None
     if steps < 1:
         raise DomainError(f"grid needs at least one step, got n={n}")
+    if steps > MAX_NODES:
+        raise DomainError(f"grid has {steps} steps, above the cap of {MAX_NODES}")
 
 
 @dataclass(frozen=True)

@@ -333,13 +333,19 @@ def peeled_source(
     peeled term maps to the next one under the power-law integral rule.
     Returns (P, G_F) sampled on the nodes; at t = a a term with a negative
     exponent (mu < 1) has no finite value, so node 0 is NaN where one enters.
+    Raises DomainError where u_depth, and so G, diverges at t = a.
     """
+    coef, expo = neumann_term(problem, depth)
+    if expo < 0.0:
+        raise DomainError(
+            f"{problem}: after {depth} peeled Neumann terms the remainder "
+            f"forcing (t-a)^{expo:.6g} still diverges at t = a"
+        )
     dt = grid.h * np.arange(grid.n + 1)
     P = np.zeros(grid.n + 1)
     for m in range(depth):
-        coef, expo = neumann_term(problem, m)
-        P += coef * _power_on_nodes(dt, expo)
-    coef, expo = neumann_term(problem, depth)
+        head_coef, head_expo = neumann_term(problem, m)
+        P += head_coef * _power_on_nodes(dt, head_expo)
     G_F = coef * _power_on_nodes(dt, expo)
     return P, G_F
 

@@ -61,7 +61,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -72,10 +71,8 @@ __all__ = [
     "MLResult",
     "SeriesConvergenceError",
     "MLOverflowError",
-    "ml_series",
     "ml_eval",
     "ml_eval_detailed",
-    "series_terms",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -161,14 +158,6 @@ class MLResult:
     value: float
     regime: str  # "series", "asymptotic" or "contour"
     terms: int  # series/asymptotic terms, or contour nodes
-
-
-def series_terms(params: MLParams, z: float, max_k: int) -> Iterator[float]:
-    """Yield the series terms z^k / Gamma(alpha k + beta), k = 0..max_k."""
-    zk = 1.0
-    for k in range(max_k + 1):
-        yield zk * reciprocal_gamma(params.alpha * k + params.beta)
-        zk *= z
 
 
 @lru_cache(maxsize=64)
@@ -511,18 +500,6 @@ def _asymptotic_negative(params: MLParams, z: float, cap: int):
     if value == 0.0:
         return None
     return value, err / abs(value), used
-
-
-def ml_series(params: MLParams, z: float) -> float:
-    """Series evaluation of E[alpha, beta](z) (any real z it can resolve).
-
-    The double pass, then escalating mpmath passes where it does not
-    certify; raises SeriesConvergenceError or MLOverflowError.
-    """
-    value, _, lost = _series_double(params, z)
-    if value is None:
-        value, _ = _series_mp(params, z, lost)
-    return value
 
 
 def _quadrature(params: MLParams, z: float):

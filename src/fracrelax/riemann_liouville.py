@@ -48,8 +48,6 @@ __all__ = [
     "rl_derivative_numeric",
 ]
 
-DEFAULT_MAX_NODES = 1_000_000
-
 # Below this index the literal difference formulas are already accurate.
 _SERIES_CUT = 8
 
@@ -196,22 +194,16 @@ def _backward_diff_pow(m: np.ndarray, q: float) -> np.ndarray:
     return out
 
 
-def build_weights(
-    grid: UniformGrid, nu: float, max_nodes: int = DEFAULT_MAX_NODES
-) -> QuadratureWeights:
+def build_weights(grid: UniformGrid, nu: float) -> QuadratureWeights:
     """Product-trapezoidal weights for the order-nu integral on ``grid``.
 
-    Storage is O(n); ``max_nodes`` bounds memory: at the default cap these
-    weights plus volterra.solve_volterra peak below 100 MB.  For nu = 1 the
-    weights reduce to the composite trapezoidal rule.
+    Storage is O(n), and no grid has more than grids.MAX_NODES steps, so
+    these weights plus volterra.solve_volterra peak below 100 MB.  For
+    nu = 1 the weights reduce to the composite trapezoidal rule.
     """
     if not nu > 0.0:
         raise DomainError(f"nu must be positive, got {nu!r}")
     n = grid.n
-    if n > max_nodes:
-        raise DomainError(
-            f"grid has {n} steps, above the configured cap {max_nodes}"
-        )
     p = nu + 1.0
     c0 = grid.h**nu * reciprocal_gamma(nu + 2.0)
     d2 = c0 * _second_diff_pow(np.arange(1.0, n), p) if n >= 2 else np.empty(0)

@@ -17,9 +17,10 @@ where P collects the first few analytic terms of the solution's expansion
 regular enough for the quadrature to converge.  The same peel is applied
 for mu >= 1, where it just sharpens the start-up accuracy.
 
-Picard iteration on the identical discrete system is available both as a
-structural cross-check (the successive-substitution construction) and to
-confirm that the implicit solve satisfies its own fixed-point equation.
+Picard iteration (_PICARD_ITERATIONS substitutions on the identical discrete
+system) is a structural cross-check, the successive-substitution construction
+on the grid.  That the solve satisfies its own fixed-point equation is
+checked by tests/test_volterra.py::test_residual_of_own_system.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import DomainError, GridMismatchError, UniformGrid
+from .grids import UniformGrid
 from .kinetics import KineticProblem, SolutionCurve, auto_peel_depth, peeled_source
 from .kinetics import _require_grid
-from .riemann_liouville import QuadratureWeights, build_weights
-from .riemann_liouville import _causal_convolution, _fft_size
+from .riemann_liouville import QuadratureWeights
+from .riemann_liouville import _causal_convolution, _fft_size, _resolve_weights
 
 __all__ = [
     "SCHEMES",
@@ -48,6 +49,7 @@ __all__ = [
 SCHEMES = ("implicit_product_trapezoid", "picard")
 
 _DIVERGENCE_FACTOR = 1e6
+_PICARD_ITERATIONS = 50
 # Where the discrete system is unstable, max|r| grows exponentially along the
 # grid (50, 9.4e5 and 5.7e28 times r[0] after 50, 200 and 1000 steps at
 # nu = 1.05, c h = 178); past this factor the solve amplifies rounding by
@@ -74,30 +76,16 @@ class OracleConfig:
 
     grid: UniformGrid
     scheme: str = "implicit_product_trapezoid"
-    picard_iterations: int = 50
-    peel_depth: int | None = None  # None: choose from (nu, mu)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected {SCHEMES}")
-        if self.scheme == "picard" and self.picard_iterations < 1:
-            raise ValueError("picard_iterations must be >= 1")
-        if self.peel_depth is not None and self.peel_depth < 0:
-            raise ValueError("peel_depth must be >= 0")
 
 
 def _prepare(problem: KineticProblem, cfg: OracleConfig, weights):
     _require_grid(problem, cfg.grid)
-    if weights is None:
-        weights = build_weights(cfg.grid, problem.nu)
-    elif weights.grid != cfg.grid or weights.nu != problem.nu:
-        raise GridMismatchError("precomputed weights do not match grid/problem")
-    depth = cfg.peel_depth if cfg.peel_depth is not None else auto_peel_depth(problem)
-    if depth * problem.nu + problem.mu_eff - 1.0 < 0.0:
-        raise DomainError(
-            "peel depth leaves a divergent forcing exponent; increase peel_depth"
-        )
-    P, G_F = peeled_source(problem, cfg.grid, depth)
+    weights = _resolve_weights(cfg.grid, problem.nu, weights)
+    P, G_F = peeled_source(problem, cfg.grid, auto_peel_depth(problem))
     return weights, P, G_F
 
 
@@ -195,7 +183,7 @@ def picard_iterate(
         )
     G = G_F.copy()
     base_norm = max(1.0, float(np.max(np.abs(G_F))))
-    for _ in range(cfg.picard_iterations):
+    for _ in range(_PICARD_ITERATIONS):
         G = G_F - cn * weights.apply(G)
         G[0] = G_F[0]
         norm = float(np.max(np.abs(G)))

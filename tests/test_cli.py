@@ -7,6 +7,7 @@ import pytest
 
 from fracrelax import verification
 from fracrelax.cli import main
+from fracrelax.grids import MAX_NODES
 from fracrelax.verification import run_sweep
 
 
@@ -120,6 +121,13 @@ class TestSolveCommand:
             main(["solve", "--nu", "0.5", "--c", "1", "--tol", "1e-9"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("n", [MAX_NODES + 1, 2_000_000])
+    def test_step_count_above_cap_exit_2(self, n, capsys):
+        assert main(["solve", "--nu", "0.5", "--c", "1", "--n", str(n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --n must be <= {MAX_NODES}, got {n}\n"
+
     @pytest.mark.parametrize("args, error", [
         # E[1](-x) is out of the evaluator's reach from x ~ 336 on; n = 2
         # reaches x = 400 at the first node
@@ -189,6 +197,15 @@ class TestVerifyCommand:
         assert rc == 2
         assert "T = 5/c" in capsys.readouterr().err
 
+    def test_ladder_above_cap_exit_2(self, capsys):
+        argv = ["verify", "--nu", "0.5", "--c", "1", "--n", "262144", "--levels", "3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: grid has 1048576 steps, above the cap of {MAX_NODES}\n"
+        )
+
 
 class TestSweepCommand:
     def test_ordering_and_count(self, capsys):
@@ -253,6 +270,14 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --n must be >= 1, got {n}\n"
+
+    @pytest.mark.parametrize("n", [MAX_NODES + 1, 2_000_000])
+    def test_step_count_above_cap_exit_2(self, n, capsys):
+        # one error line, not one ERROR row per cell
+        assert main(["sweep", "--nu", "0.5,0.7", "--c", "1,2", "--n", str(n)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --n must be <= {MAX_NODES}, got {n}\n"
 
 
 class TestDeterminism:

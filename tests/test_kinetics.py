@@ -7,7 +7,7 @@ from scipy.special import erfc
 
 from conftest import ml_reference, ml_reference_negative
 from fracrelax.grids import DomainError, GridFunction, GridMismatchError, UniformGrid
-from fracrelax import kinetics, verification, volterra
+from fracrelax import kinetics, mittag_leffler, verification, volterra
 from fracrelax.kinetics import (
     KineticProblem,
     RelaxationInvariantError,
@@ -502,6 +502,23 @@ class TestRestriction:
             direct = real_curve(p, curve.grid)
             assert np.array_equal(curve.values, direct.values, equal_nan=True)
 
+    def test_ladder_above_the_node_cap_evaluates_nothing(self, monkeypatch):
+        # the finest grid, 262144 * 4 steps, is refused before any curve
+        calls = []
+        real = mittag_leffler.ml_eval_detailed
+
+        def counting(params, z):
+            calls.append(z)
+            return real(params, z)
+
+        monkeypatch.setattr(mittag_leffler, "ml_eval_detailed", counting)
+        p = KineticProblem(nu=0.5, c=1.0, N_a=1.0)
+        with pytest.raises(DomainError, match="1048576 steps, above the cap"):
+            run_verification(p, base_n=262144, levels=3)
+        assert calls == []
+        run_verification(p, base_n=100, levels=2)
+        assert len(calls) == 200  # the spy sees the evaluations it should
+
 
 class TestIntegralResidual:
     def test_true_solution_residual_shrinks(self):
@@ -564,6 +581,16 @@ class TestIntegralResidual:
         with pytest.raises(GridMismatchError):
             integral_equation_residual(p, curve)
 
+    def test_divergent_remainder_refused(self):
+        # twelve peeled terms leave the forcing exponent 12 nu + mu - 1 < 0;
+        # the residual of the exact solution would grow under refinement
+        p = KineticProblem(nu=0.01, c=1.0, N_a=1.0, mu=0.5)
+        g = UniformGrid.from_span(0.0, p.default_span(), 200)
+        curve = closed_form_curve(p, g)
+        with pytest.raises(DomainError, match="-0.38 still diverges at t = a") as exc:
+            integral_equation_residual(p, curve)
+        assert "peel_depth" not in str(exc.value)
+
 
 class TestDifferentialResidual:
     def test_interior_residual_shrinks(self):
@@ -624,3 +651,14 @@ class TestPeeling:
             run_verification(p)
         assert math.isnan(P[0])
         assert np.isfinite(P[1:]).all() and np.isfinite(G_F).all()
+
+    def test_divergent_remainder_refused(self):
+        p = KineticProblem(nu=0.01, c=1.0, N_a=1.0, mu=0.5)
+        g = UniformGrid.from_span(0.0, 5.0, 100)
+        assert auto_peel_depth(p) == 12
+        with pytest.raises(DomainError, match=r"after 12 peeled Neumann terms"):
+            peeled_source(p, g, 12)
+        # one more term makes the exponent 13 nu + mu - 1 = -0.37: still refused
+        with pytest.raises(DomainError):
+            peeled_source(p, g, 13)
+        peeled_source(p, g, 50)  # 50 nu + mu - 1 = 0: a bounded remainder

@@ -6,9 +6,14 @@ import pytest
 
 from conftest import dense_weights
 from fracrelax.gammafn import reciprocal_gamma
-from fracrelax.grids import DomainError, GridFunction, GridMismatchError, UniformGrid
+from fracrelax.grids import (
+    MAX_NODES,
+    DomainError,
+    GridFunction,
+    GridMismatchError,
+    UniformGrid,
+)
 from fracrelax.riemann_liouville import (
-    DEFAULT_MAX_NODES,
     UnsupportedOrderError,
     _backward_diff_pow,
     build_weights,
@@ -43,6 +48,17 @@ class TestGridTypes:
             UniformGrid(0.0, 0.4, n)
         with pytest.raises(DomainError):
             UniformGrid.from_span(0.0, 1.0, n)
+
+    def test_node_cap(self):
+        # every way of making a grid refuses MAX_NODES + 1 = 101 * 9901 steps
+        assert UniformGrid(0.0, 1e-6, MAX_NODES).n == MAX_NODES
+        with pytest.raises(DomainError, match="above the cap of 1000000"):
+            UniformGrid(0.0, 1e-6, MAX_NODES + 1)
+        with pytest.raises(DomainError, match="above the cap"):
+            UniformGrid.from_span(0.0, 1.0, MAX_NODES + 1)
+        with pytest.raises(DomainError, match="above the cap"):
+            UniformGrid(0.0, 1.0, 9901).refined(101)
+        assert UniformGrid(0.0, 1.0, 500_000).refined().n == MAX_NODES
 
     def test_numpy_integer_step_count(self):
         g = UniformGrid.from_span(0.0, 1.0, np.int64(4))
@@ -133,14 +149,6 @@ class TestWeights:
         expected = t**nu * reciprocal_gamma(nu + 1.0)
         rel = np.abs(sums[1:] - expected[1:]) / expected[1:]
         assert rel.max() <= 1e-12
-
-    def test_node_cap(self):
-        g = UniformGrid.from_span(0.0, 1.0, 64)
-        with pytest.raises(DomainError):
-            build_weights(g, 0.5, max_nodes=32)
-        g = UniformGrid.from_span(0.0, 1.0, DEFAULT_MAX_NODES + 1)
-        with pytest.raises(DomainError, match="above the configured cap"):
-            build_weights(g, 0.5)
 
     def test_invalid_order(self):
         g = UniformGrid.from_span(0.0, 1.0, 8)

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import dense_weights
 from fracrelax import volterra
-from fracrelax.grids import GridMismatchError, UniformGrid
+from fracrelax.grids import DomainError, GridMismatchError, UniformGrid
 from fracrelax.kinetics import (
     KineticProblem,
     auto_peel_depth,
@@ -96,16 +96,28 @@ class TestConfig:
         g = UniformGrid.from_span(0.0, 1.0, 10)
         with pytest.raises(ValueError):
             OracleConfig(grid=g, scheme="magic")
-        with pytest.raises(ValueError):
-            OracleConfig(grid=g, scheme="picard", picard_iterations=0)
-        with pytest.raises(ValueError):
-            OracleConfig(grid=g, peel_depth=-1)
 
     def test_grid_must_match_problem(self):
         p = KineticProblem(nu=0.5, c=1.0, N_a=1.0, a=2.0)
         g = UniformGrid.from_span(0.0, 1.0, 10)
         with pytest.raises(GridMismatchError):
             solve_volterra(p, OracleConfig(grid=g))
+
+    def test_weights_must_match(self):
+        p = KineticProblem(nu=0.5, c=1.0, N_a=1.0)
+        g = UniformGrid.from_span(0.0, 1.0, 10)
+        for w in (build_weights(g.refined(), 0.5), build_weights(g, 0.6)):
+            with pytest.raises(GridMismatchError, match="precomputed weights"):
+                solve_volterra(p, OracleConfig(grid=g), weights=w)
+
+    @pytest.mark.parametrize("scheme", ["implicit_product_trapezoid", "picard"])
+    def test_divergent_remainder_refused(self, scheme):
+        # twelve peeled terms leave the forcing exponent 12 nu + mu - 1 < 0
+        p = KineticProblem(nu=0.01, c=1.0, N_a=1.0, mu=0.5)
+        g = UniformGrid.from_span(0.0, p.default_span(), 200)
+        with pytest.raises(DomainError, match="diverges at t = a") as exc:
+            solve_volterra(p, OracleConfig(grid=g, scheme=scheme))
+        assert "peel_depth" not in str(exc.value)
 
 
 class TestImplicitMarch:
@@ -169,15 +181,6 @@ class TestImplicitMarch:
         # the two-grid gap is a usable error estimate for the coarse run
         assert gap <= 2.0 * err1
         assert err1 <= 2.5 * gap
-
-    def test_explicit_peel_depth_zero_still_converges_smooth(self):
-        # for a smooth problem the raw march works; the peel just sharpens it
-        p = KineticProblem(nu=1.0, c=1.0, N_a=1.0)
-        g = UniformGrid.from_span(0.0, 5.0, 500)
-        raw = solve_volterra(p, OracleConfig(grid=g, peel_depth=0))
-        t = g.times()
-        assert np.abs(raw.values - np.exp(-t)).max() <= 1e-4
-
 
     @pytest.mark.parametrize("nu, mu", MARCH_PROBLEMS)
     def test_matches_dense_march(self, nu, mu):
@@ -250,33 +253,39 @@ class TestPicard:
         with pytest.raises(ValueError):
             picard_iterate(p, OracleConfig(grid=g))
 
-    def test_dispatch_through_solve(self):
+    def test_dispatch_through_solve(self, monkeypatch):
+        monkeypatch.setattr(volterra, "_PICARD_ITERATIONS", 80)
         p = KineticProblem(nu=0.5, c=1.0, N_a=1.0)
         g = UniformGrid.from_span(0.0, 5.0, 100)
-        cfg = OracleConfig(grid=g, scheme="picard", picard_iterations=80)
+        cfg = OracleConfig(grid=g, scheme="picard")
         assert np.array_equal(
             solve_volterra(p, cfg).values, picard_iterate(p, cfg).values
         )
 
-    def test_matches_implicit_march(self):
+    def test_matches_implicit_march(self, monkeypatch):
+        # the gap is 1.15e-9 after the default 50 iterations
+        monkeypatch.setattr(volterra, "_PICARD_ITERATIONS", 80)
         p = KineticProblem(nu=0.5, c=1.0, N_a=1.0)
         g = UniformGrid.from_span(0.0, 5.0, 300)
         implicit = solve_volterra(p, OracleConfig(grid=g))
-        iterated = picard_iterate(
-            p, OracleConfig(grid=g, scheme="picard", picard_iterations=80)
-        )
+        iterated = picard_iterate(p, OracleConfig(grid=g, scheme="picard"))
         assert np.abs(implicit.values - iterated.values).max() <= 1e-10
 
-    def test_single_substitution_structure(self):
-        # one iteration applies the integral operator to the forcing once
+    def test_single_substitution_structure(self, monkeypatch):
+        # one iteration applies the integral operator to the peeled forcing
+        # once: N = P + G_F - c^nu W G_F
+        monkeypatch.setattr(volterra, "_PICARD_ITERATIONS", 1)
         p = KineticProblem(nu=1.0, c=0.01, N_a=1.0)
         g = UniformGrid.from_span(0.0, 1.0, 100)
-        one = picard_iterate(
-            p, OracleConfig(grid=g, scheme="picard", picard_iterations=1, peel_depth=0)
-        )
+        one = picard_iterate(p, OracleConfig(grid=g, scheme="picard"))
+        w = build_weights(g, p.nu)
+        P, G_F = peeled_source(p, g, auto_peel_depth(p))
+        expected = P + G_F - p.rate_factor * w.apply(G_F)
+        assert np.abs(one.values - expected).max() <= 1e-15
+        # P = 1 and G_F = -c t for F = 1; the trapezoid integrates t exactly,
+        # so one substitution gives 1 - c t + (c t)^2 / 2 up to roundoff
         t = g.times()
-        # F - c I(F) = 1 - c t for F = 1, up to quadrature roundoff
-        assert np.allclose(one.values, 1.0 - 0.01 * t, atol=1e-12)
+        assert np.allclose(one.values, 1.0 - 0.01 * t + (0.01 * t) ** 2 / 2, atol=1e-12)
 
     def test_coarse_grid_rejected_up_front(self):
         # one step of T = 5/c: c^nu c0 = (5 c / c)^0.5 / Gamma(2.5) = 1.68
@@ -288,15 +297,14 @@ class TestPicard:
         g = UniformGrid.from_span(0.0, p.default_span(), 3)
         picard_iterate(p, OracleConfig(grid=g, scheme="picard"))
 
-    def test_divergence_alarm(self):
+    def test_divergence_alarm(self, monkeypatch):
         # c^nu c0 = 1000 * 0.001 / 2 = 0.5 passes the up-front check, but the
         # lower-triangular part still drives the iterate norm past 1e6
+        monkeypatch.setattr(volterra, "_PICARD_ITERATIONS", 30)
         p = KineticProblem(nu=1.0, c=1000.0, N_a=1.0)
         g = UniformGrid.from_span(0.0, 5.0, 5000)
         with pytest.raises(PicardDivergenceError, match="iterate norm"):
-            picard_iterate(
-                p, OracleConfig(grid=g, scheme="picard", picard_iterations=30)
-            )
+            picard_iterate(p, OracleConfig(grid=g, scheme="picard"))
 
 
 class TestUnstableResolvent:
