@@ -124,11 +124,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None, data_to_stdout: bool) -> None:
+def _emit(text: str, out_path: str | None) -> None:
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    elif data_to_stdout:
+    else:
         sys.stdout.write(text)
 
 
@@ -162,7 +162,7 @@ def _cmd_ml(args) -> int:
         except (MLOverflowError, SeriesConvergenceError) as e:
             lines.append(f"{format_real(z)},NA,error,0")
             print(f"z={format_real(z)}: {type(e).__name__}: {e}", file=sys.stderr)
-    _emit("\n".join(lines) + "\n", args.out, data_to_stdout=True)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -198,7 +198,7 @@ def _cmd_solve(args) -> int:
     lines.extend(
         f"{format_real(t)},{format_real(v)}" for t, v in zip(grid.times(), curve.values)
     )
-    _emit("\n".join(lines) + "\n", args.out, data_to_stdout=True)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -219,7 +219,7 @@ def _cmd_verify(args) -> int:
         levels=args.levels,
         oracle_tol=args.tol,
     )
-    _emit(report.to_csv_text(), args.out, data_to_stdout=args.out is None)
+    _emit(report.to_csv_text(), args.out)
     summary_stream = sys.stdout if args.out is not None else sys.stderr
     summary_stream.write(report.summary_text())
     return 0 if report.passed else 1
@@ -237,7 +237,7 @@ def _cmd_sweep(args) -> int:
         n=_steps_from_args(args, 2000),
         tol=args.tol,
     )
-    _emit(sweep_csv_text(rows), args.out, data_to_stdout=True)
+    _emit(sweep_csv_text(rows), args.out)
     for row in rows:
         if row.failure is not None:
             mu_txt = "" if row.mu is None else format_real(row.mu)

@@ -104,10 +104,6 @@ class KineticProblem:
         """c^nu with c > 0 enforced, so the real branch is unambiguous."""
         return self.c**self.nu
 
-    def decay_argument(self, t: float) -> float:
-        """-c^nu (t-a)^nu, the Mittag-Leffler argument at time t."""
-        return -self.rate_factor * (t - self.a) ** self.nu
-
     def default_span(self) -> float:
         """Verification window T = 5/c (several decay scales)."""
         return 5.0 / self.c
@@ -136,9 +132,7 @@ def relaxation_solution(problem: KineticProblem, t: float) -> float:
     """Closed-form plain relaxation value N_a E[nu](-c^nu (t-a)^nu)."""
     if problem.mu is not None:
         raise DomainError("plain relaxation form requires mu to be absent")
-    if not t > problem.a:
-        raise DomainError(f"t must exceed a={problem.a!r}, got {t!r}")
-    return problem.N_a * ml_eval(MLParams(problem.nu, 1.0), problem.decay_argument(t))
+    return float(_closed_form(problem, [float(t)])[0])
 
 
 def relaxation_solution_origin(nu: float, c: float, N_0: float, t: float) -> float:
@@ -154,10 +148,7 @@ def power_source_solution(problem: KineticProblem, t: float) -> float:
     """
     if problem.mu is None:
         raise DomainError("power-source form requires mu")
-    if not t > problem.a:
-        raise DomainError(f"t must exceed a={problem.a!r}, got {t!r}")
-    e = ml_eval(MLParams(problem.nu, problem.mu), problem.decay_argument(t))
-    return problem.N_a * gamma(problem.mu) * (t - problem.a) ** (problem.mu - 1.0) * e
+    return float(_closed_form(problem, [float(t)])[0])
 
 
 def power_source_solution_origin(
@@ -249,28 +240,37 @@ def _check_relaxation_invariant(problem: KineticProblem, ratio: np.ndarray) -> N
         )
 
 
+def _closed_form(problem: KineticProblem, times: list[float]) -> np.ndarray:
+    """The closed-form solution at increasing times t > a, one E per time.
+
+    The arguments -c^nu (t-a)^nu and the power-source factors are formed on
+    the Python floats ``times`` (numpy's array power rounds differently at
+    some nodes), so a curve and the pointwise forms give bitwise the same
+    values.  Plain problems with 0 < nu <= 1 are checked against the
+    relaxation invariant.
+    """
+    cn, a, nu = problem.rate_factor, problem.a, problem.nu
+    if not times[0] > a:
+        raise DomainError(f"t must exceed a={a!r}, got {times[0]!r}")
+    params = MLParams(nu, problem.mu_eff)
+    e = np.array([ml_eval(params, -cn * (t - a) ** nu) for t in times])
+    if problem.mu is None:
+        if nu <= 1.0:
+            _check_relaxation_invariant(problem, e)
+        return problem.N_a * e
+    scale, expo = problem.N_a * gamma(problem.mu), problem.mu - 1.0
+    return np.array([scale * (t - a) ** expo for t in times]) * e
+
+
 def closed_form_curve(problem: KineticProblem, grid: UniformGrid) -> SolutionCurve:
     """Sample the closed-form solution on a grid, one evaluation of E per node.
 
-    The arguments -c^nu (t-a)^nu and the power-source factors are formed
-    node by node on Python floats, so every value is bitwise the one that
-    ``relaxation_solution`` or ``power_source_solution`` returns (numpy's
-    array power rounds differently at some nodes).  Plain curves with
-    0 < nu <= 1 are checked against the relaxation invariant before they
-    are returned.
+    Every value is bitwise the one ``relaxation_solution`` or
+    ``power_source_solution`` returns; plain curves with 0 < nu <= 1 are
+    checked against the relaxation invariant before they are returned.
     """
     _require_grid(problem, grid)
-    times = grid.times()[1:].tolist()
-    params = MLParams(problem.nu, problem.mu_eff)
-    cn, a, nu = problem.rate_factor, problem.a, problem.nu
-    e = np.array([ml_eval(params, -cn * (t - a) ** nu) for t in times])
-    if problem.mu is None:
-        if problem.nu <= 1.0:
-            _check_relaxation_invariant(problem, e)
-        tail = problem.N_a * e
-    else:
-        scale, expo = problem.N_a * gamma(problem.mu), problem.mu - 1.0
-        tail = np.array([scale * (t - a) ** expo for t in times]) * e
+    tail = _closed_form(problem, grid.times()[1:].tolist())
     return _sampled_curve(problem, grid, tail, "closed_form")
 
 
@@ -378,7 +378,8 @@ def integral_equation_residual(
     _require_grid(problem, curve.grid)
     cn = problem.rate_factor
     if not curve.singular_start:
-        forcing = _forcing_on_grid(problem, curve.grid)
+        dt = curve.grid.h * np.arange(curve.grid.n + 1)
+        forcing = problem.N_a * _power_on_nodes(dt, problem.mu_eff - 1.0)
         integ = rl_integral_numeric(curve, problem.nu, weights=weights)
         res = curve.values - forcing + cn * integ.values
         return GridFunction(grid=curve.grid, values=res)
@@ -421,15 +422,6 @@ def differential_equation_residual(
         + problem.rate_factor * curve.values[1:]
     )
     return GridFunction(grid=curve.grid, values=res, singular_start=True)
-
-
-def _forcing_on_grid(problem: KineticProblem, grid: UniformGrid) -> np.ndarray:
-    mu_eff = problem.mu_eff
-    if mu_eff == 1.0:
-        base = np.full(grid.n + 1, problem.N_a)
-        return base
-    dt = grid.h * np.arange(grid.n + 1)
-    return problem.N_a * _power_on_nodes(dt, mu_eff - 1.0)
 
 
 def _require_grid(problem: KineticProblem, grid: UniformGrid) -> None:

@@ -46,14 +46,18 @@ to ~1e-13 relative:
    to |value|; it fails next to a zero of E
    (e.g. E[0.7, 0.5] at x = 1.6535) and where E is exponentially small
    (alpha = beta = 1 beyond x ~ 8).
-4. mpmath series, for the few nodes no regime above certifies: the series
-   is re-summed at a working precision sized to the observed cancellation
-   (digits lost = log10(max |term| / |sum|), or from the peak term and an
-   uncertified contour value), escalating until the result carries >= 17
-   significant digits.  The arguments alpha k + beta are formed in mpmath:
-   a one-ulp error in a Gamma argument, times a term peak of 1e20, would
-   otherwise survive as garbage that the precision check still accepts.
-   Far out, where even that is infeasible, SeriesConvergenceError is raised.
+4. mpmath series, for the few nodes no regime above certifies.  For
+   z < -10 alpha and alpha < 2 the order is asymptotic, contour, mpmath:
+   the double pass never certifies there.  The series is re-summed at a
+   working precision sized to the observed cancellation (digits lost =
+   log10(max |term| / |sum|), or from the peak term and an uncertified
+   contour value); a pass left with fewer than 17 significant digits is
+   repeated at twice the precision or more, up to _MAX_DPS digits.  The
+   arguments alpha k + beta are formed in mpmath: a one-ulp error in a
+   Gamma argument, times a term peak of 1e20, would otherwise survive as
+   garbage that the precision check still accepts.  Far out, where the
+   cancellation needs more than _MAX_DPS digits, SeriesConvergenceError is
+   raised.
 """
 
 from __future__ import annotations
@@ -89,7 +93,6 @@ _MAX_TERMS = 10_000
 # alpha >= 2 the series converges so fast that it covers the whole axis.
 _ASYMPTOTIC_TERMS = 20
 _MAX_DPS = 1200
-_MP_ROUNDS = 6
 # exp overflows past ~709; E[alpha](z) ~ exp(z^(1/alpha))/alpha for z -> +inf.
 _EXP_OVERFLOW = 708.0
 # Contour quadrature: parabola scale, trapezoid step in u, and the decay
@@ -206,23 +209,11 @@ def _sum_double(params: MLParams, z: float):
     )
 
 
-_MP_RGAMMA_CACHE: dict[tuple[float, float, int, int], "mp.mpf"] = {}
-
-
-def _mp_rgamma(alpha: float, beta: float, k: int):
-    """1/Gamma(alpha k + beta) with the argument formed exactly in mpmath.
-
-    Keyed by the exact inputs and the binary precision; worst case under
-    concurrent callers is a recomputation, never a wrong value.
-    """
-    key = (alpha, beta, k, mp.mp.prec)
-    v = _MP_RGAMMA_CACHE.get(key)
-    if v is None:
-        if len(_MP_RGAMMA_CACHE) > 400_000:
-            _MP_RGAMMA_CACHE.clear()
-        v = mp.rgamma(mp.mpf(alpha) * k + beta)
-        _MP_RGAMMA_CACHE[key] = v
-    return v
+@lru_cache(maxsize=400_000)
+def _mp_rgamma(alpha: float, beta: float, k: int, prec: int):
+    """1/Gamma(alpha k + beta) with the argument formed exactly in mpmath,
+    at ``prec`` bits, the working precision of the calling pass."""
+    return mp.rgamma(mp.mpf(alpha) * k + beta)
 
 
 def _sum_mp(params: MLParams, z: float, dps: int):
@@ -240,8 +231,9 @@ def _sum_mp(params: MLParams, z: float, dps: int):
         zk = mp.mpf(1)
         max_t = mp.mpf(0)
         stop = mp.mpf(10) ** (-(dps - 3))
+        prec = mp.mp.prec
         for k in range(_MAX_TERMS + 1):
-            term = zk * _mp_rgamma(alpha, beta, k)
+            term = zk * _mp_rgamma(alpha, beta, k, prec)
             if k >= 1 and abs(term) < stop * max(1, abs(s)):
                 lost = (
                     float(mp.log10(max_t / abs(s)))
@@ -361,31 +353,23 @@ def _pass_looks_doomed(params: MLParams, x: float, floor: float) -> bool:
     return floor * (b + c * x) > _TARGET_REL * a
 
 
-def _series_mp(params: MLParams, z: float, lost: float):
-    """Escalating mpmath passes, starting from ``lost`` digits of headroom.
+def _series_mp(params: MLParams, z: float, lost: float) -> MLResult:
+    """mpmath passes, the first with ``lost`` digits of cancellation headroom.
 
-    Returns (value, terms_used) accurate to ~_TARGET_REL relative, or raises
-    SeriesConvergenceError.
+    A pass left with fewer than 17 significant digits reads about its own
+    precision as lost, so the next one works at max(lost + 27, 2 dps)
+    digits.  Returns the value accurate to ~_TARGET_REL relative, or raises
+    SeriesConvergenceError once the precision would pass _MAX_DPS.
     """
-    if lost + 30.0 > _MAX_DPS:
-        raise SeriesConvergenceError(
-            f"series for E[{params.alpha}, {params.beta}]({z}) would need "
-            f"~{lost:.0f} digits of cancellation headroom"
-        )
-    dps = max(25, int(17 + lost + 8))
-    for _ in range(_MP_ROUNDS):
-        if dps > _MAX_DPS:
-            raise SeriesConvergenceError(
-                f"series for E[{params.alpha}, {params.beta}]({z}) exceeded "
-                f"the {_MAX_DPS}-digit working-precision cap"
-            )
-        val, k, lost = _sum_mp(params, z, dps)
+    dps = max(25, int(min(_MAX_DPS + 1.0, 17 + lost + 8)))  # lost may be inf
+    while dps <= _MAX_DPS:
+        value, terms, lost = _sum_mp(params, z, dps)
         if dps - lost >= 17.0:
-            return val, k
-        dps = int(lost + 27)
+            return MLResult(value, "series", terms)
+        dps = max(int(lost + 27), 2 * dps)
     raise SeriesConvergenceError(
-        f"series for E[{params.alpha}, {params.beta}]({z}) did not stabilise "
-        f"after {_MP_ROUNDS} precision escalations"
+        f"series for E[{params.alpha}, {params.beta}]({z}) cancels by "
+        f"~{lost:.0f} digits or more, past the {_MAX_DPS}-digit working-precision cap"
     )
 
 
@@ -541,17 +525,11 @@ def ml_eval_detailed(params: MLParams, z: float) -> MLResult:
         asym = _asymptotic_negative(params, z, _ASYMPTOTIC_TERMS)
         if asym is not None and _CERT_SAFETY * asym[1] <= _TARGET_REL:
             return MLResult(asym[0], "asymptotic", asym[2])
+        lost = _peak_log10_term(params, z)
     quad, quad_lost = quadrature or _quadrature(params, z)
     if quad is not None:
         return quad
-    if not inner:
-        value, terms, lost = _series_double(params, z)
-        if value is not None:
-            return MLResult(value, "series", terms)
-    elif quad_lost is not None:
-        lost = quad_lost
-    value, terms = _series_mp(params, z, lost)
-    return MLResult(value, "series", terms)
+    return _series_mp(params, z, lost if quad_lost is None else quad_lost)
 
 
 def ml_eval(params: MLParams, z: float) -> float:

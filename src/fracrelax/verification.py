@@ -196,10 +196,7 @@ def run_verification(
     window_start = problem.a + MASK_STEPS * grids[0].h
     for i, grid in enumerate(grids):
         res = integral_equation_residual(problem, closed[i], weights=weight_sets[i])
-        t = grid.times()
-        mask = t >= window_start
-        mask[0] = False
-        residuals.append(float(np.max(np.abs(res.values[mask]))))
+        residuals.append(_window_max(res, window_start))
         report.rows.append(
             CheckRow("integral_residual", grid.n, "max_residual", residuals[-1],
                      math.inf, True)
@@ -214,12 +211,9 @@ def run_verification(
     if problem.mu is None and 0.0 < problem.nu < 1.0:
         t0 = time.perf_counter()
         diff_res = []
-        for grid, curve in zip(grids, closed):
+        for curve in closed:
             res = differential_equation_residual(problem, curve)
-            t = grid.times()
-            mask = t >= window_start
-            mask[0] = False
-            diff_res.append(float(np.max(np.abs(res.values[mask]))))
+            diff_res.append(_window_max(res, window_start))
         monotone = all(
             diff_res[i] > diff_res[i + 1] for i in range(len(diff_res) - 1)
         )
@@ -240,6 +234,13 @@ def run_verification(
         )
 
     return report
+
+
+def _window_max(res, window_start: float) -> float:
+    """max |res| on the nodes t >= window_start past node 0."""
+    mask = res.grid.times() >= window_start
+    mask[0] = False
+    return float(np.max(np.abs(res.values[mask])))
 
 
 def _observed_order(coarse_err: float, fine_err: float) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .grids import UniformGrid
 from .kinetics import KineticProblem, SolutionCurve, auto_peel_depth, peeled_source
-from .kinetics import _require_grid
+from .kinetics import _require_grid, _sampled_curve
 from .riemann_liouville import QuadratureWeights
 from .riemann_liouville import _causal_convolution, _fft_size, _resolve_weights
 
@@ -90,17 +90,8 @@ def _prepare(problem: KineticProblem, cfg: OracleConfig, weights):
 
 
 def _assemble(problem: KineticProblem, cfg: OracleConfig, P, G):
-    values = P + G
-    singular = problem.mu_eff < 1.0
-    if singular:
-        values[0] = math.nan
-    return SolutionCurve(
-        problem=problem,
-        grid=cfg.grid,
-        values=values,
-        method_tag="oracle",
-        singular_start=singular,
-    )
+    # node 0 takes the solution's limit at t = a, as every curve does
+    return _sampled_curve(problem, cfg.grid, (P + G)[1:], "oracle")
 
 
 def solve_volterra(

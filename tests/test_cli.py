@@ -129,9 +129,9 @@ class TestSolveCommand:
         assert captured.err == f"error: --n must be <= {MAX_NODES}, got {n}\n"
 
     @pytest.mark.parametrize("args, error", [
-        # E[1](-x) is out of the evaluator's reach from x ~ 336 on; n = 2
-        # reaches x = 400 at the first node
-        (["--nu", "1", "--c", "1", "--T", "800", "--n", "2"], "SeriesConvergenceError"),
+        # E[1](-x) is out of the evaluator's reach from x ~ 1285 on; n = 2
+        # reaches x = 5e4 at the first node, refused before any mpmath pass
+        (["--nu", "1", "--c", "1", "--T", "100000", "--n", "2"], "SeriesConvergenceError"),
         (["--nu", "1.5", "--c", "1", "--T", "1000", "--n", "200", "--method", "oracle"],
          "UnstableResolventError"),
         (["--nu", "1.95", "--c", "1000", "--T", "5", "--n", "300", "--method", "oracle"],

@@ -126,6 +126,26 @@ class TestRegimes:
         assert res.regime == "series"
         assert res.value == pytest.approx(math.exp(-30.0), rel=1e-12)
 
+    @pytest.mark.parametrize("x", [336.0, 400.0])
+    def test_alpha_one_far_field_meets_contract(self, x):
+        # e^-x under ~290 digits of cancellation: the working precision
+        # doubles until a pass keeps 17 digits
+        assert ml_eval(MLParams(1.0), -x) == pytest.approx(math.exp(-x), rel=1e-13, abs=0)
+
+    def test_no_double_pass_past_the_asymptotic_switch(self, monkeypatch):
+        # for z < -10 alpha, alpha < 2: asymptotic, contour, then mpmath
+        sum_double = mittag_leffler._sum_double
+
+        def forbidden(params, z):
+            if z < -10.0 * params.alpha:
+                raise AssertionError(f"double pass at z = {z}")
+            return sum_double(params, z)
+
+        monkeypatch.setattr(mittag_leffler, "_sum_double", forbidden)
+        for x in (12.0, 20.0, 50.0):
+            value = ml_eval(MLParams(1.0), -x)
+            assert value == pytest.approx(math.exp(-x), rel=1e-13, abs=0), x
+
     def test_large_alpha_far_argument_uses_series(self):
         # alpha >= 2 has no asymptotic regime: the series covers z = -10
         val = ml_eval(MLParams(2.5, 1.0), -10.0)
@@ -232,7 +252,7 @@ class TestDoublePassCertificate:
         ref = ml_reference_negative(alpha, x)
         value, _, lost = mittag_leffler._series_double(params, -x)
         if value is None:  # not certified: the series path goes on to mpmath
-            value, _ = mittag_leffler._series_mp(params, -x, lost)
+            value = mittag_leffler._series_mp(params, -x, lost).value
         assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
         assert ml_eval(params, -x) == pytest.approx(ref, rel=1e-13, abs=0.0)
 

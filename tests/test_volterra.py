@@ -145,6 +145,16 @@ class TestImplicitMarch:
         assert oracle.singular_start and math.isnan(oracle.values[0])
         assert masked_gap(oracle, closed) <= 5e-4
 
+    @pytest.mark.parametrize("mu", [None, 1.0, 1.5, 2.5])
+    def test_start_is_the_closed_form_start(self, mu):
+        # node 0 is the solution's limit at t = a, bitwise, on both curves
+        for nu, N_a in [(0.3, 1.7), (0.7, -1.1), (1.0, 2.0), (1.5, 0.3)]:
+            p = KineticProblem(nu=nu, c=1.3, N_a=N_a, mu=mu)
+            g = UniformGrid.from_span(0.0, 5.0 / 1.3, 40)
+            oracle = solve_volterra(p, OracleConfig(grid=g))
+            closed = closed_form_curve(p, g)
+            assert oracle.values[:1].tobytes() == closed.values[:1].tobytes(), nu
+
     def test_no_decay_limit(self):
         # c^nu = 1e-6, so the solution departs from N_a = 2 by ~5e-6 at
         # t = 5.  Compare with its expansion N_a sum_m (-c^nu t^nu)^m /
