@@ -4,66 +4,44 @@ E[alpha, beta](z) = sum_{k>=0} z^k / Gamma(alpha k + beta), alpha, beta > 0.
 
 The relaxation solutions of this package evaluate E at -c^nu (t-a)^nu <= 0,
 where the series alternates and cancels once |z| is moderate.  ``ml_eval``
-gives a node the first regime below that covers it and certifies its value
-to ~1e-13 relative:
+gives a node the first of three regimes that certifies its value to ~1e-13
+relative:
 
 1. Series, for z >= -10 alpha, and for every z when alpha >= 2:
-   Kahan-compensated double-precision summation.  A rounding estimate
-   built from the largest partial sum and the term count decides whether
-   the result can be trusted.  It is kept
-   wherever it certifies, because there it is accurate to a few ulp, which
-   the Neumann-envelope checks at |z| <= 1 rely on.  For z = -x < -1 and
-   alpha < 2 the series' peak term T_k, near k = x^(1/alpha)/alpha, gives
-   a floor eps (4 + 2 sqrt(k)) T_k on that estimate for every pass that
-   can certify.  Where a cheap guess of |E| says the floor may exceed
-   1e-13 |E|, the contour below is evaluated first, and its value is
-   returned without the pass once the floor exceeds 1.02e-13 times it: the
-   pass provably fails there.  The skip never changes a value.
-2. Asymptotic, for z < -10 alpha and alpha < 2: the algebraic expansion
-
-       E[alpha, beta](z) ~ -sum_{k>=1} z^-k / Gamma(beta - alpha k)
-
-   with optimal truncation, certified by the smallest retained term plus,
-   for alpha >= 0.9, a bound on the oscillatory exponential mode the
-   algebraic terms cannot see (for alpha = 1 every term vanishes while E
-   is e^z, so the certificate, not the expansion, decides).
-3. Contour, for z = -x < 0 and alpha < 2: the Bromwich integral
+   Kahan-compensated double-precision summation, kept wherever its rounding
+   estimate (largest partial sum and term count) certifies, because there
+   it is accurate to a few ulp, which the Neumann-envelope checks at
+   |z| <= 1 rely on.  Where a floor on that estimate (``_pass_floor``)
+   proves that the pass fails, the contour is evaluated first and the pass
+   is skipped; the skip never changes a value.
+2. Contour, for z = -x < 0 and alpha < 2: the Bromwich integral
 
        E[alpha, beta](-x) = 1/(2 pi i) int_C e^s s^(alpha-beta)/(s^alpha + x) ds
 
    on the parabola s = mu (1 + iu)^2 (Weideman & Trefethen, Math. Comp. 76,
-   2007), by the trapezoid rule in u with step _CONTOUR_STEP.  The contour
-   data c = w e^s s^(alpha-beta) ds/du and s^alpha depend only on
+   2007), by the trapezoid rule in u.  The contour data depend only on
    (alpha, beta, mu) and are cached, so a node costs one complex addition
-   and division: Im(c / (s^alpha + x)).  The branch cut on the negative
-   axis lies on Im u = 1 for every mu.  For 1 < alpha < 2 the poles
-   s^alpha = -x, at s = x^(1/alpha) e^(+-i pi/alpha), are kept at least
-   _POLE_MARGIN from the contour in the u-plane by lowering mu where
-   needed, and the residues (2/alpha) Re(e^s s^(1-beta)) of the poles
-   outside it are added (Garrappa, SIAM J. Numer. Anal. 53, 2015).  The
-   certificate is _CONTOUR_ROUNDING times the sum of |terms| and the
-   residue's scale, plus the discretisation error of the poles, relative
-   to |value|; it fails next to a zero of E
-   (e.g. E[0.7, 0.5] at x = 1.6535) and where E is exponentially small
-   (alpha = beta = 1 beyond x ~ 8).
-4. mpmath series, for the few nodes no regime above certifies.  For
-   z < -10 alpha and alpha < 2 the order is asymptotic, contour, mpmath:
-   the double pass never certifies there.  The series is re-summed at a
-   working precision sized to the observed cancellation (digits lost =
-   log10(max |term| / |sum|), or from the peak term and an uncertified
-   contour value); a pass left with fewer than 17 significant digits is
-   repeated at twice the precision or more, up to _MAX_DPS digits.  The
-   arguments alpha k + beta are formed in mpmath: a one-ulp error in a
-   Gamma argument, times a term peak of 1e20, would otherwise survive as
-   garbage that the precision check still accepts.  Far out, where the
-   cancellation needs more than _MAX_DPS digits, SeriesConvergenceError is
-   raised.
+   and division per contour node.  For 1 < alpha < 2 the residues of the
+   poles s^alpha = -x outside the contour are added (Garrappa, SIAM J.
+   Numer. Anal. 53, 2015).  The certificate is the rounding of the sum and
+   the poles' discretisation error; it fails next to a zero of E (e.g.
+   E[0.7, 0.5] at x = 1.6535) and where E is exponentially small
+   (alpha = beta = 1 beyond x ~ 8).  For z < -10 alpha the far form splits
+   m >= 2 algebraic terms off exactly and the contour evaluates only the
+   remainder z^-m E[alpha, beta - m alpha](z), whose error x^-m scales.
+3. mpmath series, for the few nodes neither regime certifies (for
+   z < -10 alpha and alpha < 2 the double pass is not tried).  The working
+   precision is sized to the cancellation, from the double pass or from
+   the peak term and the uncertified contour value, and doubled until a
+   pass keeps 17 significant digits; the arguments alpha k + beta are
+   formed in mpmath.  Past _MAX_DPS digits SeriesConvergenceError is raised.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -83,15 +61,15 @@ _EPS = 2.220446049250313e-16
 # Internal relative-accuracy target; a decade under the tightest downstream
 # tolerance (1e-12 in the classical-limit check).
 _TARGET_REL = 1e-13
-_CERT_SAFETY = 10.0
 # Stopping tolerance of the double pass, relative to max(|partial sum|, 1),
 # and the term cap of every series pass.
 _SERIES_TOL = 1e-16
 _MAX_TERMS = 10_000
-# Term cap of the asymptotic expansion, used on z < -10 alpha for alpha < 2:
-# the series' term peak is governed by Gamma(alpha k + beta), and for
-# alpha >= 2 the series converges so fast that it covers the whole axis.
-_ASYMPTOTIC_TERMS = 20
+# Algebraic terms the far form splits off: at least _FAR_TERMS, and enough that
+# its remainder's beta' - alpha <= _FAR_MAX_EXCESS.  The contour's certificate,
+# measured to hold up to beta - alpha = 4, at 26.4 passed a value 1e37 off.
+_FAR_TERMS = 2
+_FAR_MAX_EXCESS = 3.0
 _MAX_DPS = 1200
 # exp overflows past ~709; E[alpha](z) ~ exp(z^(1/alpha))/alpha for z -> +inf.
 _EXP_OVERFLOW = 708.0
@@ -110,6 +88,10 @@ _POLE_MARGIN = 0.6
 # and at most 2.14 eps on a scan of alpha in [0.1, 1.9], beta in
 # {alpha, 0.5, 1, 1.3, 1.5, 2}.
 _CONTOUR_ROUNDING = 4.0 * _EPS
+# Rounding of a far-form head term -z^-k / Gamma(beta - alpha k), relative to
+# it: 1/math.gamma errs by <= 4.4 eps on 60 003 points of [-4, 170], 1/x^k
+# and the product add ~3 eps.
+_HEAD_ROUNDING = 8.0 * _EPS
 # A certified double pass at z would lie within ~1e-13 of |E| and so of the
 # quadrature's value; a floor on its rounding estimate this far above
 # 1e-13 |value| proves that it fails.
@@ -159,8 +141,8 @@ class MLParams:
 @dataclass(frozen=True)
 class MLResult:
     value: float
-    regime: str  # "series", "asymptotic" or "contour"
-    terms: int  # series/asymptotic terms, or contour nodes
+    regime: str  # "series" (double or mpmath) or "contour" (with its far form)
+    terms: int  # series terms, or contour nodes
 
 
 @lru_cache(maxsize=64)
@@ -235,11 +217,8 @@ def _sum_mp(params: MLParams, z: float, dps: int):
         for k in range(_MAX_TERMS + 1):
             term = zk * _mp_rgamma(alpha, beta, k, prec)
             if k >= 1 and abs(term) < stop * max(1, abs(s)):
-                lost = (
-                    float(mp.log10(max_t / abs(s)))
-                    if s != 0 and max_t > 0
-                    else float(dps)
-                )
+                lost = (float(mp.log10(max_t / abs(s)))
+                        if s != 0 and max_t > 0 else float(dps))
                 return float(s), k, max(lost, 0.0)
             s += term
             at = abs(term)
@@ -397,16 +376,16 @@ def _contour_nodes(alpha: float, beta: float, mu: float):
     return c, e
 
 
-def _contour(params: MLParams, x: float):
+def _contour(alpha: float, beta: float, x: float):
     """E[alpha, beta](-x), x > 0, alpha < 2, on the parabolic contour.
 
-    Returns (value, relative certificate, contour nodes).  For 1 < alpha < 2
-    the poles at s_p = x^(1/alpha) e^(+-i pi/alpha) sit at Im u = 1 - c
-    sqrt(|s_p|/mu), c = cos(pi/(2 alpha)); where that is within _POLE_MARGIN
-    of 0, mu is lowered by factors of sqrt(2) until the poles lie at least
-    the margin outside the contour.
+    Returns (value, absolute error bound, contour nodes); beta may be any
+    real, as in the far form's remainder.  For 1 < alpha < 2 the poles at
+    s_p = x^(1/alpha) e^(+-i pi/alpha) sit at Im u = 1 - c sqrt(|s_p|/mu),
+    c = cos(pi/(2 alpha)); where that is within _POLE_MARGIN of 0, mu is
+    lowered by factors of sqrt(2) until the poles lie at least the margin
+    outside the contour.
     """
-    alpha, beta = params.alpha, params.beta
     mu = _CONTOUR_MU
     residue = residue_scale = disc = 0.0
     if alpha > 1.0:
@@ -431,59 +410,51 @@ def _contour(params: MLParams, x: float):
     t = np.divide(c, q, out=q).imag
     value = float(t.sum()) + residue
     err = _CONTOUR_ROUNDING * (float(np.abs(t).sum()) + residue_scale) + disc
-    cert = err / abs(value) if value != 0.0 else math.inf
-    return value, cert, t.size
+    return value, err, t.size
 
 
-@lru_cache(maxsize=32)
-def _asymptotic_coefficients(alpha: float, beta: float, cap: int) -> tuple[float, ...]:
-    """1/Gamma(beta - alpha k) for k = 1..cap; exactly 0.0 at the poles."""
-    return tuple(reciprocal_gamma(beta - alpha * k) for k in range(1, cap + 1))
+@lru_cache(maxsize=64)
+def _far_terms(alpha: float, beta: float) -> tuple[tuple[float, ...], float]:
+    """The far form's 1/Gamma(beta - alpha k), k = 1..m, and beta - m alpha.
+
+    math.gamma has a sixth of reciprocal_gamma's error; the rounding lo of the
+    exact beta - alpha k is put back to first order, since next to a pole it
+    moves 1/Gamma by ~k! lo, which the far form multiplies by x."""
+    m = max(_FAR_TERMS, math.ceil((beta - _FAR_MAX_EXCESS) / alpha) - 1)
+    coeffs, h = [], 2.0**-20
+    for k in range(1, m + 1):
+        exact = Fraction(beta) - k * Fraction(alpha)
+        hi = float(exact)
+        lo = float(exact - Fraction(hi))
+        slope = (reciprocal_gamma(hi + h) - reciprocal_gamma(hi - h)) / (2.0 * h)
+        try:
+            rg = 1.0 / math.gamma(hi)
+        except (ValueError, OverflowError):  # a pole, or Gamma past double range
+            rg = reciprocal_gamma(hi)
+        coeffs.append(rg + lo * slope)
+    return tuple(coeffs), float(Fraction(beta) - m * Fraction(alpha))
 
 
-def _asymptotic_negative(params: MLParams, z: float, cap: int):
-    """Algebraic expansion -sum_{k>=1} z^-k / Gamma(beta - alpha k).
+def _far_contour(alpha: float, beta: float, x: float):
+    """E[alpha, beta](-x) for x > 10 alpha, as (value, error bound, nodes).
 
-    Optimal truncation: include terms while their magnitude keeps falling
-    (pole terms are exactly zero and skipped by the monotonicity check), at
-    most ``cap`` terms.  Returns (value, certified_relative_error, terms) or
-    None when no nonzero term exists (e.g. alpha = 1, where the expansion
-    carries no information).
-    """
-    alpha, beta = params.alpha, params.beta
-    zi = 1.0 / z
-    zk = zi
-    s = 0.0
-    last_nz = None
-    min_nz = None
-    used = 0
-    for k, coeff in enumerate(_asymptotic_coefficients(alpha, beta, cap), 1):
-        term = zk * coeff
-        at = abs(term)
-        if at > 0.0:
-            if last_nz is not None and at >= last_nz:
-                break
-            last_nz = at
-            min_nz = at if min_nz is None else min(min_nz, at)
-        s += term
-        used = k
+    E[a, b](z) = 1/Gamma(b) + z E[a, a + b](z), applied m times:
+
+        E[a, b](z) = z^-m E[a, b - m a](z) - sum_{k=1..m} z^-k / Gamma(b - a k).
+
+    The contour's error enters times x^-m, plus _HEAD_ROUNDING of each head
+    term and 2 eps of the tail."""
+    coeffs, shifted = _far_terms(alpha, beta)
+    zi, zk, value, heads = -1.0 / x, 1.0, 0.0, 0.0
+    for coeff in coeffs:
         zk *= zi
-    if min_nz is None:
-        return None
-    value = -s
-    err = min_nz
-    if alpha >= 0.9:
-        # Oscillatory exponential mode, decaying on the negative axis for
-        # 1 < alpha < 2 and equal to e^z at alpha = 1; invisible to the
-        # algebraic terms, so it must enter the certificate explicitly.
-        exponent = abs(z) ** (1.0 / alpha) * math.cos(math.pi / alpha)
-        if exponent > -700.0:
-            err += (2.0 / alpha) * abs(z) ** ((1.0 - beta) / alpha) * math.exp(
-                exponent
-            )
-    if value == 0.0:
-        return None
-    return value, err / abs(value), used
+        term = -zk * coeff
+        value += term
+        heads += abs(term)
+    tail, err, nodes = _contour(alpha, shifted, x)
+    value += tail * zk
+    err = (err + 2.0 * _EPS * abs(tail)) * abs(zk) + _HEAD_ROUNDING * heads
+    return value, err, nodes
 
 
 def _quadrature(params: MLParams, z: float):
@@ -496,11 +467,12 @@ def _quadrature(params: MLParams, z: float):
     """
     if not (z < 0.0 and params.alpha < 2.0):
         return None, None
-    value, cert, nodes = _contour(params, -z)
-    if cert <= _TARGET_REL:
-        return MLResult(value, "contour", nodes), None
-    if value == 0.0:
+    form = _far_contour if z < -10.0 * params.alpha else _contour
+    value, err, nodes = form(params.alpha, params.beta, -z)
+    if value == 0.0 or not math.isfinite(value):  # inf: x^-m overflowed
         return None, None
+    if err / abs(value) <= _TARGET_REL:
+        return MLResult(value, "contour", nodes), None
     return None, _peak_log10_term(params, z) - math.log10(abs(value))
 
 
@@ -509,9 +481,8 @@ def ml_eval_detailed(params: MLParams, z: float) -> MLResult:
     z = float(z)  # a numpy scalar would slow every term of the double pass
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
-    inner = params.alpha >= 2.0 or z >= -10.0 * params.alpha
     quadrature = None  # (MLResult or None, lost) once evaluated
-    if inner:
+    if params.alpha >= 2.0 or z >= -10.0 * params.alpha:
         floor = _pass_floor(params, z)
         if floor > 0.0 and _pass_looks_doomed(params, -z, floor):
             quadrature = _quadrature(params, z)
@@ -522,9 +493,6 @@ def ml_eval_detailed(params: MLParams, z: float) -> MLResult:
         if value is not None:
             return MLResult(value, "series", terms)
     else:
-        asym = _asymptotic_negative(params, z, _ASYMPTOTIC_TERMS)
-        if asym is not None and _CERT_SAFETY * asym[1] <= _TARGET_REL:
-            return MLResult(asym[0], "asymptotic", asym[2])
         lost = _peak_log10_term(params, z)
     quad, quad_lost = quadrature or _quadrature(params, z)
     if quad is not None:

@@ -3,9 +3,15 @@ high-precision Mittag-Leffler reference and the dense quadrature matrix.
 """
 
 import math
+import os
 
-import mpmath as mp
-import numpy as np
+# One BLAS thread, set before numpy loads: a march that calls BLAS on one
+# short row at a time otherwise spins its threads against any busy core.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import mpmath as mp  # noqa: E402
+import numpy as np  # noqa: E402
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -28,20 +34,28 @@ def ml_reference(alpha: float, beta: float, z: float, dps: int = 60) -> float:
     Plain term-by-term summation with mpmath division by gamma; no stopping
     policy, no compensation, no regime switching.  The arguments
     alpha k + beta are formed in mpmath, so a non-dyadic alpha is not
-    rounded to double inside Gamma.
+    rounded to double inside Gamma.  Raises ArithmeticError where it would
+    return no reference: the terms have not fallen below the working
+    precision within 5000 terms (a partial sum), or the cancellation
+    log10(largest term / |sum|) left fewer than 20 digits.
     """
     with mp.workdps(dps):
         s = mp.mpf(0)
         zm = mp.mpf(z)
         zk = mp.mpf(1)
         am = mp.mpf(alpha)
+        biggest = mp.mpf(0)
         for k in range(5000):
             term = zk / mp.gamma(am * k + beta)
             s += term
+            biggest = max(biggest, abs(term))
             zk *= zm
             if k > 10 and abs(term) < mp.mpf(10) ** (-(dps - 5)) * max(1, abs(s)):
-                break
-        return float(s)
+                if s == 0 or dps - mp.log10(biggest / abs(s)) < 20:
+                    raise ArithmeticError(
+                        f"reference for E[{alpha}, {beta}]({z}) kept too few digits at {dps}")
+                return float(s)
+        raise ArithmeticError(f"reference series for E[{alpha}, {beta}]({z}) did not stop")
 
 
 def ml_reference_negative(alpha: float, x: float) -> float:

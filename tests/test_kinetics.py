@@ -81,8 +81,8 @@ class TestRelaxationSolution:
         assert relaxation_solution(p, 1e-8) == pytest.approx(expected, rel=1e-13)
 
     def test_far_tail_stays_positive(self):
-        # E[0.6](-40^0.6) lies past the asymptotic switch where the
-        # expansion cannot certify itself; its fallback once gave -146.2
+        # E[0.6](-40^0.6) lies past the far switch z = -10 nu, where the
+        # contour's far form carries it; a fallback there once gave -146.2
         p = KineticProblem(nu=0.6, c=1.0, N_a=1.0)
         value = relaxation_solution(p, 40.0)
         assert value > 0.0
@@ -251,6 +251,18 @@ class TestCurves:
         curve = closed_form_curve(p, g)
         assert curve.singular_start and math.isnan(curve.values[0])
         assert np.all(np.isfinite(curve.values[1:]))
+
+    def test_impulse_response_curve_meets_contract(self):
+        # mu = nu: N = Gamma(nu) t^(nu-1) E[nu, nu](-t^nu); past t^nu = 10 nu
+        # 31 of these 50 nodes were once certified up to 3.8e-3 off
+        nu = 0.6
+        p = KineticProblem(nu=nu, c=1.0, N_a=1.0, mu=nu)
+        g = UniformGrid.from_span(0.0, 50.0, 50)
+        curve = closed_form_curve(p, g)
+        for t, value in zip(g.times()[1:], curve.values[1:]):
+            e = ml_reference(nu, nu, -(t**nu), dps=40 + int(t))
+            ref = math.gamma(nu) * t ** (nu - 1.0) * e
+            assert value == pytest.approx(ref, rel=1e-13, abs=0), t
 
     def test_neumann_curve_zero_terms_is_flat(self):
         p = KineticProblem(nu=0.5, c=1.0, N_a=1.7)

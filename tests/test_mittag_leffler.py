@@ -31,23 +31,27 @@ class TestParamsAndSwitch:
             MLParams(alpha, beta)
 
     def test_switch_at_ten_alpha(self, monkeypatch):
-        # the asymptotic expansion is tried exactly on z < -10 alpha
+        # the far form, a contour on beta - 2 alpha, runs exactly on
+        # z < -10 alpha; at z = -10 alpha any contour keeps beta
         tried = []
-        expansion = mittag_leffler._asymptotic_negative
+        contour = mittag_leffler._contour
 
-        def spy(params, z, cap):
-            tried.append(z)
-            return expansion(params, z, cap)
+        def spy(alpha, beta, x):
+            tried.append((beta, x))
+            return contour(alpha, beta, x)
 
-        monkeypatch.setattr(mittag_leffler, "_asymptotic_negative", spy)
+        monkeypatch.setattr(mittag_leffler, "_contour", spy)
         for alpha, switch in ((1.0, 10.0), (0.4, 4.0)):
             ml_eval(MLParams(alpha), -switch)
-            assert tried == []
+            assert all(beta == 1.0 for beta, _ in tried)
+            tried.clear()
             ml_eval(MLParams(alpha), -switch * (1 + 1e-9))
-            assert tried == [-switch * (1 + 1e-9)]
+            assert tried == [(1.0 - 2.0 * alpha, switch * (1 + 1e-9))]
             tried.clear()
         # rapid series convergence for alpha >= 2: series on the whole axis
-        assert ml_eval_detailed(MLParams(2.0), -300.0).regime == "series"
+        for x in (10.0, 25.0, 300.0):
+            assert ml_eval_detailed(MLParams(2.0), -x).regime == "series"
+        assert ml_eval_detailed(MLParams(2.5, 0.5), -100.0).regime == "series"
         assert tried == []
 
 
@@ -104,11 +108,33 @@ class TestSeriesStructure:
 
 
 class TestRegimes:
-    def test_asymptotic_engages_and_matches_reference(self):
+    def test_far_form_engages_and_matches_reference(self):
         params = MLParams(0.5, 1.0)
         res = ml_eval_detailed(params, -15.0)
-        assert res.regime == "asymptotic"
-        assert res.value == pytest.approx(ml_reference_negative(0.5, 15.0), rel=1e-10)
+        assert res.regime == "contour"
+        assert res.value == pytest.approx(ml_reference_negative(0.5, 15.0), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("alpha, beta, x", [
+        # beta = alpha, the impulse response: beta - alpha k rounds to within
+        # an ulp of a pole, which once cut an algebraic expansion short and
+        # certified values up to 6.7e-3 off
+        (0.2, 0.2, 2.776541990147549),
+        (0.4, 0.4, 5.0),
+        (0.6, 0.6, 10.0),
+        (0.8, 0.8, 68.79),
+        (1.2, 1.2, 115.66),
+        # 0.3 - 1.3 rounds to -1.0, a pole, while the exact difference is
+        # not; 1/Gamma at the rounded argument was 2.4e-13 off here
+        (1.3, 0.3, 3000.0),
+        # beta - alpha well above 4: more algebraic terms go, so that the
+        # contour sees beta' - alpha <= 3; a contour on beta = 30 once
+        # certified 4.6e13 here, and one on beta - 2 alpha 2e9
+        (1.2, 30.0, 100.0),
+        (0.6, 10.0, 20.0),
+    ])
+    def test_far_field_meets_contract(self, alpha, beta, x):
+        value = ml_eval(MLParams(alpha, beta), -x)
+        assert value == pytest.approx(exact_reference(alpha, beta, x), rel=1e-13, abs=0)
 
     def test_handoff_continuity(self):
         # values on both sides of the default switch agree far inside 1e-6
@@ -132,8 +158,8 @@ class TestRegimes:
         # doubles until a pass keeps 17 digits
         assert ml_eval(MLParams(1.0), -x) == pytest.approx(math.exp(-x), rel=1e-13, abs=0)
 
-    def test_no_double_pass_past_the_asymptotic_switch(self, monkeypatch):
-        # for z < -10 alpha, alpha < 2: asymptotic, contour, then mpmath
+    def test_no_double_pass_past_the_far_switch(self, monkeypatch):
+        # for z < -10 alpha, alpha < 2: contour, then mpmath
         sum_double = mittag_leffler._sum_double
 
         def forbidden(params, z):
@@ -147,7 +173,7 @@ class TestRegimes:
             assert value == pytest.approx(math.exp(-x), rel=1e-13, abs=0), x
 
     def test_large_alpha_far_argument_uses_series(self):
-        # alpha >= 2 has no asymptotic regime: the series covers z = -10
+        # alpha >= 2 has no far form: the series covers z = -10
         val = ml_eval(MLParams(2.5, 1.0), -10.0)
         assert val == pytest.approx(ml_reference(2.5, 1.0, -10.0), rel=1e-12)
 
@@ -270,8 +296,8 @@ class TestContourRegime:
         xs = np.linspace(10.0 * alpha / 12, 10.0 * alpha, 12)
         certified = 0
         for x in xs:
-            v, cert, _ = mittag_leffler._contour(MLParams(alpha, beta), x)
-            if cert <= 1e-13:
+            v, err, _ = mittag_leffler._contour(alpha, beta, x)
+            if err <= 1e-13 * abs(v):
                 certified += 1
                 assert v == pytest.approx(exact_reference(alpha, beta, x), rel=1e-13, abs=0.0), x
         # uncertified only next to a zero of E, or where E = e^-x
@@ -292,9 +318,9 @@ class TestContourRegime:
         xs = np.linspace(0.5, 3.0, 11)
         nodes = set()
         for x in xs:
-            v, cert, n = mittag_leffler._contour(MLParams(1.5, 1.0), x)
+            v, err, n = mittag_leffler._contour(1.5, 1.0, x)
             nodes.add(n)
-            assert cert <= 1e-13
+            assert err <= 1e-13 * abs(v)
             assert v == pytest.approx(exact_reference(1.5, 1.0, x), rel=1e-13, abs=0.0), x
         assert len(nodes) > 1  # mu lowered next to the crossing
 
@@ -404,7 +430,7 @@ class TestDoomedPassSkip:
 
 class TestCompletelyMonotoneRange:
     """E[alpha](-x) for 0 < alpha < 1 from the tiny to the far axis, where
-    the series, the asymptotic expansion and the contour share the work."""
+    the series and the contour with its far form share the work."""
 
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.95, 0.99])
     def test_meets_contract_across_the_range(self, alpha):
@@ -417,10 +443,9 @@ class TestCompletelyMonotoneRange:
     def test_contour_certifies_the_range(self):
         uncertified = []
         for alpha in np.linspace(0.05, 0.99, 48):
-            params = MLParams(float(alpha), 1.0)
             for x in np.geomspace(1e-3, 1e6, 46):
-                _, cert, _ = mittag_leffler._contour(params, float(x))
-                if not cert <= 1e-13:
+                v, err, _ = mittag_leffler._contour(float(alpha), 1.0, float(x))
+                if not err <= 1e-13 * abs(v):
                     uncertified.append((alpha, x))
         assert uncertified == []
 
@@ -439,6 +464,15 @@ class TestAlphaNearOne:
             value = ml_eval_detailed(params, -float(x)).value
             ref = ml_reference_negative(alpha, float(x))
             assert value == pytest.approx(ref, rel=1e-13, abs=0), x
+
+    @pytest.mark.parametrize("alpha", [0.995, 0.9975, 0.999, 1.001, 1.005])
+    def test_far_form_certifies_beta_equal_alpha(self, alpha):
+        # 1/Gamma(beta - alpha) vanishes and E ~ x^-2 / Gamma(-alpha); a
+        # contour on the remainder after one algebraic term misses these
+        params = MLParams(alpha, alpha)
+        for x in np.geomspace(10.0 * alpha, 1e6, 41)[1:]:
+            res, _ = mittag_leffler._quadrature(params, -float(x))
+            assert res is not None and res.regime == "contour", x
 
 
 def test_import_does_not_load_mpmath():
