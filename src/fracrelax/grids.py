@@ -58,12 +58,6 @@ class UniformGrid:
     def times(self) -> np.ndarray:
         return self.a + self.h * np.arange(self.n + 1)
 
-    def refined(self, factor: int = 2) -> "UniformGrid":
-        """Same window with the step divided by ``factor``."""
-        if factor < 1:
-            raise ValueError("refinement factor must be >= 1")
-        return UniformGrid(self.a, self.h / factor, self.n * factor)
-
     @classmethod
     def from_span(cls, a: float, span: float, n: int) -> "UniformGrid":
         """Grid over [a, a+span] with n steps."""

@@ -26,15 +26,17 @@ relative:
    Numer. Anal. 53, 2015).  The certificate is the rounding of the sum and
    the poles' discretisation error; it fails next to a zero of E (e.g.
    E[0.7, 0.5] at x = 1.6535) and where E is exponentially small
-   (alpha = beta = 1 beyond x ~ 8).  For z < -10 alpha the far form splits
-   m >= 2 algebraic terms off exactly and the contour evaluates only the
-   remainder z^-m E[alpha, beta - m alpha](z), whose error x^-m scales.
+   (alpha = beta = 1 beyond x ~ 8).  The far form splits m <= _MAX_TERMS
+   algebraic terms off exactly; the contour evaluates only the remainder
+   z^-m E[alpha, beta - m alpha](z), whose error x^-m scales.  m >= 2 past
+   x = 10 alpha, and on the whole axis the remainder has beta - alpha < 3.
 3. mpmath series, for the few nodes neither regime certifies (for
    z < -10 alpha and alpha < 2 the double pass is not tried).  The working
    precision is sized to the cancellation, from the double pass or from
    the peak term and the uncertified contour value, and doubled until a
-   pass keeps 17 significant digits; the arguments alpha k + beta are
-   formed in mpmath.  Past _MAX_DPS digits SeriesConvergenceError is raised.
+   pass keeps 17 significant digits; a pass stops at a term below
+   10^-(dps-3) of its partial sum, and forms alpha k + beta in mpmath.
+   Past _MAX_DPS digits SeriesConvergenceError is raised.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ _TARGET_REL = 1e-13
 # and the term cap of every series pass.
 _SERIES_TOL = 1e-16
 _MAX_TERMS = 10_000
-# Algebraic terms the far form splits off: at least _FAR_TERMS, and enough that
-# its remainder's beta' - alpha <= _FAR_MAX_EXCESS.  The contour's certificate,
+# Algebraic terms the far form splits off: _FAR_TERMS past z = -10 alpha, and
+# enough that beta' - alpha < _FAR_MAX_EXCESS.  The contour's certificate,
 # measured to hold up to beta - alpha = 4, at 26.4 passed a value 1e37 off.
 _FAR_TERMS = 2
 _FAR_MAX_EXCESS = 3.0
@@ -201,10 +203,10 @@ def _mp_rgamma(alpha: float, beta: float, k: int, prec: int):
 def _sum_mp(params: MLParams, z: float, dps: int):
     """Extended-precision pass; returns (value, terms, digits_lost).
 
-    The stopping tolerance follows the working precision rather than
-    _SERIES_TOL: with heavy cancellation the partial sums pass through
-    magnitudes far above the limit, and a fixed 1e-16 cut would truncate the
-    tail at an absolute level that can exceed the result itself.
+    A term below 10^-(dps-3) of the partial sum stops the pass: with heavy
+    cancellation the partial sums pass through magnitudes far above the
+    result, and a cut at an absolute level, or at _SERIES_TOL, would truncate
+    a tail that can exceed the result itself.
     """
     alpha, beta = params.alpha, params.beta
     with mp.workdps(dps):
@@ -216,7 +218,7 @@ def _sum_mp(params: MLParams, z: float, dps: int):
         prec = mp.mp.prec
         for k in range(_MAX_TERMS + 1):
             term = zk * _mp_rgamma(alpha, beta, k, prec)
-            if k >= 1 and abs(term) < stop * max(1, abs(s)):
+            if k >= 1 and abs(term) < stop * abs(s):
                 lost = (float(mp.log10(max_t / abs(s)))
                         if s != 0 and max_t > 0 else float(dps))
                 return float(s), k, max(lost, 0.0)
@@ -380,7 +382,9 @@ def _contour(alpha: float, beta: float, x: float):
     """E[alpha, beta](-x), x > 0, alpha < 2, on the parabolic contour.
 
     Returns (value, absolute error bound, contour nodes); beta may be any
-    real, as in the far form's remainder.  For 1 < alpha < 2 the poles at
+    real, as in the far form's remainder.  The bound counts rounding, not
+    the discretisation error, which grows with beta - alpha: callers keep
+    beta - alpha <= _FAR_MAX_EXCESS.  For 1 < alpha < 2 the poles at
     s_p = x^(1/alpha) e^(+-i pi/alpha) sit at Im u = 1 - c sqrt(|s_p|/mu),
     c = cos(pi/(2 alpha)); where that is within _POLE_MARGIN of 0, mu is
     lowered by factors of sqrt(2) until the poles lie at least the margin
@@ -414,13 +418,12 @@ def _contour(alpha: float, beta: float, x: float):
 
 
 @lru_cache(maxsize=64)
-def _far_terms(alpha: float, beta: float) -> tuple[tuple[float, ...], float]:
+def _far_terms(alpha: float, beta: float, m: int) -> tuple[tuple[float, ...], float]:
     """The far form's 1/Gamma(beta - alpha k), k = 1..m, and beta - m alpha.
 
     math.gamma has a sixth of reciprocal_gamma's error; the rounding lo of the
     exact beta - alpha k is put back to first order, since next to a pole it
     moves 1/Gamma by ~k! lo, which the far form multiplies by x."""
-    m = max(_FAR_TERMS, math.ceil((beta - _FAR_MAX_EXCESS) / alpha) - 1)
     coeffs, h = [], 2.0**-20
     for k in range(1, m + 1):
         exact = Fraction(beta) - k * Fraction(alpha)
@@ -435,40 +438,37 @@ def _far_terms(alpha: float, beta: float) -> tuple[tuple[float, ...], float]:
     return tuple(coeffs), float(Fraction(beta) - m * Fraction(alpha))
 
 
-def _far_contour(alpha: float, beta: float, x: float):
-    """E[alpha, beta](-x) for x > 10 alpha, as (value, error bound, nodes).
-
-    E[a, b](z) = 1/Gamma(b) + z E[a, a + b](z), applied m times:
-
-        E[a, b](z) = z^-m E[a, b - m a](z) - sum_{k=1..m} z^-k / Gamma(b - a k).
-
-    The contour's error enters times x^-m, plus _HEAD_ROUNDING of each head
-    term and 2 eps of the tail."""
-    coeffs, shifted = _far_terms(alpha, beta)
-    zi, zk, value, heads = -1.0 / x, 1.0, 0.0, 0.0
-    for coeff in coeffs:
-        zk *= zi
-        term = -zk * coeff
-        value += term
-        heads += abs(term)
-    tail, err, nodes = _contour(alpha, shifted, x)
-    value += tail * zk
-    err = (err + 2.0 * _EPS * abs(tail)) * abs(zk) + _HEAD_ROUNDING * heads
-    return value, err, nodes
-
-
 def _quadrature(params: MLParams, z: float):
     """The certified contour value at z, as (MLResult or None, lost).
 
-    An uncertified contour value yields None, with the digits the series
-    cancels by (from its peak term and the contour's value) in ``lost``:
-    next to a zero of E the double pass's value is rounding noise, while the
-    contour's still has the right magnitude.
+    For m > 0, E[a, b](z) = 1/Gamma(b) + z E[a, a + b](z) applied m times:
+
+        E[a, b](z) = z^-m E[a, b - m a](z) - sum_{k=1..m} z^-k / Gamma(b - a k);
+
+    the contour's error enters times x^-m, plus _HEAD_ROUNDING of each head
+    term and 2 eps of the tail.  An uncertified value yields None, with the
+    digits the series cancels by (from its peak term and the contour's
+    value) in ``lost``: next to a zero of E the double pass's value is
+    rounding noise, while the contour's still has the right magnitude.
     """
-    if not (z < 0.0 and params.alpha < 2.0):
+    alpha, beta, x = params.alpha, params.beta, -z
+    steps = min(max((beta - _FAR_MAX_EXCESS) / alpha, 0.0), _MAX_TERMS + 1.0)
+    m = max(_FAR_TERMS if x > 10.0 * alpha else 0, math.floor(steps))
+    if not (x > 0.0 and alpha < 2.0 and m <= _MAX_TERMS):
         return None, None
-    form = _far_contour if z < -10.0 * params.alpha else _contour
-    value, err, nodes = form(params.alpha, params.beta, -z)
+    if m == 0:
+        value, err, nodes = _contour(alpha, beta, x)
+    else:
+        coeffs, shifted = _far_terms(alpha, beta, m)
+        zi, zk, value, heads = -1.0 / x, 1.0, 0.0, 0.0
+        for coeff in coeffs:
+            zk *= zi
+            term = -zk * coeff
+            value += term
+            heads += abs(term)
+        tail, err, nodes = _contour(alpha, shifted, x)
+        value += tail * zk
+        err = (err + 2.0 * _EPS * abs(tail)) * abs(zk) + _HEAD_ROUNDING * heads
     if value == 0.0 or not math.isfinite(value):  # inf: x^-m overflowed
         return None, None
     if err / abs(value) <= _TARGET_REL:

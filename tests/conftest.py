@@ -34,9 +34,10 @@ def ml_reference(alpha: float, beta: float, z: float, dps: int = 60) -> float:
     Plain term-by-term summation with mpmath division by gamma; no stopping
     policy, no compensation, no regime switching.  The arguments
     alpha k + beta are formed in mpmath, so a non-dyadic alpha is not
-    rounded to double inside Gamma.  Raises ArithmeticError where it would
-    return no reference: the terms have not fallen below the working
-    precision within 5000 terms (a partial sum), or the cancellation
+    rounded to double inside Gamma.  It stops at a term below 10^-(dps-5)
+    of the partial sum, relative even where |E| is far below 1.  Raises
+    ArithmeticError where it would return no reference: the terms have not
+    fallen that far within 5000 terms (a partial sum), or the cancellation
     log10(largest term / |sum|) left fewer than 20 digits.
     """
     with mp.workdps(dps):
@@ -50,7 +51,7 @@ def ml_reference(alpha: float, beta: float, z: float, dps: int = 60) -> float:
             s += term
             biggest = max(biggest, abs(term))
             zk *= zm
-            if k > 10 and abs(term) < mp.mpf(10) ** (-(dps - 5)) * max(1, abs(s)):
+            if k > 10 and abs(term) < mp.mpf(10) ** (-(dps - 5)) * abs(s):
                 if s == 0 or dps - mp.log10(biggest / abs(s)) < 20:
                     raise ArithmeticError(
                         f"reference for E[{alpha}, {beta}]({z}) kept too few digits at {dps}")

@@ -264,6 +264,17 @@ class TestCurves:
             ref = math.gamma(nu) * t ** (nu - 1.0) * e
             assert value == pytest.approx(ref, rel=1e-13, abs=0), t
 
+    def test_large_mu_power_source_curve_meets_contract(self):
+        # mu - nu = 28.8: a contour on E[1.2, 30] itself once certified all
+        # 50 nodes wrong, up to 1.9e80 relative
+        nu, mu = 1.2, 30.0
+        p = KineticProblem(nu=nu, c=1.0, N_a=1.0, mu=mu)
+        g = UniformGrid.from_span(0.0, 5.0, 50)
+        curve = closed_form_curve(p, g)
+        for t, value in zip(g.times()[1:], curve.values[1:]):
+            ref = math.gamma(mu) * t ** (mu - 1.0) * ml_reference(nu, mu, -(t**nu), dps=40)
+            assert value == pytest.approx(ref, rel=1e-13, abs=0), t
+
     def test_neumann_curve_zero_terms_is_flat(self):
         p = KineticProblem(nu=0.5, c=1.0, N_a=1.7)
         g = UniformGrid.from_span(0.0, 1.0, 10)

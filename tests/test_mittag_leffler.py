@@ -136,6 +136,65 @@ class TestRegimes:
         value = ml_eval(MLParams(alpha, beta), -x)
         assert value == pytest.approx(exact_reference(alpha, beta, x), rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("alpha, beta, x", [
+        # beta - alpha > 3 on both sides of z = -10 alpha: head terms split off
+        # so that the contour sees beta' - alpha < 3; a contour on beta
+        # itself once certified 6.0e18 at E[1.2,30](-11) (exact 9.5e-32)
+        (1.2, 30.0, 11.0),
+        (1.2, 30.0, 0.5),
+        (0.5, 60.0, 4.5),
+        (0.8, 40.0, 7.9),
+        # the mpmath pass once stopped at an absolute 10^-(dps-3) and
+        # returned these 1.3e-5 and 22% off
+        (0.5, 20.0, 4.0),
+        (1.2, 30.0, 13.0),
+    ])
+    def test_large_beta_meets_contract(self, alpha, beta, x):
+        params = MLParams(alpha, beta)
+        ref = exact_reference(alpha, beta, x)
+        assert ml_eval(params, -x) == pytest.approx(ref, rel=1e-13, abs=0)
+        value = mittag_leffler._series_mp(params, -x, 0.0).value
+        assert value == pytest.approx(ref, rel=1e-13, abs=0)
+
+    def test_large_beta_underflows_to_zero(self):
+        # exact 2.0e-373; a contour on beta = 200 once certified 2.6e117
+        assert ml_eval(MLParams(0.5, 200.0), -4.0) == 0.0
+
+    def test_contour_stays_in_its_tested_range(self, monkeypatch):
+        calls = []
+        contour = mittag_leffler._contour
+
+        def spy(alpha, beta, x):
+            calls.append((alpha, beta, x))
+            return contour(alpha, beta, x)
+
+        monkeypatch.setattr(mittag_leffler, "_contour", spy)
+        for alpha in (0.3, 0.5, 0.8, 1.2, 1.5, 1.8):
+            for beta in (alpha, 1.0, 4.0, 6.0, 10.0, 20.0, 30.0, 60.0, 200.0):
+                for x in [*np.linspace(0.0, 10.0 * alpha, 9)[1:], 12.0 * alpha]:
+                    ml_eval(MLParams(alpha, beta), -float(x))
+        assert len(calls) > 100
+        for alpha, beta, x in calls:
+            assert beta - alpha <= mittag_leffler._FAR_MAX_EXCESS, (alpha, beta, x)
+
+    def test_head_term_count_is_capped(self, monkeypatch):
+        # m ~ beta/alpha = 1e6 head terms would each build a Fraction; past
+        # _MAX_TERMS the node goes to mpmath instead
+        counts = []
+        far_terms = mittag_leffler._far_terms
+
+        def spy(alpha, beta, m):
+            counts.append(m)
+            return far_terms(alpha, beta, m)
+
+        monkeypatch.setattr(mittag_leffler, "_far_terms", spy)
+        assert ml_eval(MLParams(0.01, 1e4), -1.0) == 0.0
+        assert ml_eval(MLParams(0.6, 10.0), -20.0) > 0.0
+        assert counts == [11]
+        # (beta - 3) / alpha overflows to +-inf; m stays an integer
+        assert ml_eval(MLParams(1e-10, 1e300), -1e-12) == 0.0
+        assert ml_eval(MLParams(1e-320, 1.0), -1.0) == pytest.approx(0.5, rel=1e-13)
+
     def test_handoff_continuity(self):
         # values on both sides of the default switch agree far inside 1e-6
         for alpha in (0.4, 0.6, 1.0):
