@@ -333,7 +333,8 @@ def peeled_source(
     peeled term maps to the next one under the power-law integral rule.
     Returns (P, G_F) sampled on the nodes; at t = a a term with a negative
     exponent (mu < 1) has no finite value, so node 0 is NaN where one enters.
-    Raises DomainError where u_depth, and so G, diverges at t = a.
+    Raises DomainError where u_depth, and so G, diverges at t = a, and where
+    P or G_F overflows double range at a node.
     """
     coef, expo = neumann_term(problem, depth)
     if expo < 0.0:
@@ -343,10 +344,16 @@ def peeled_source(
         )
     dt = grid.h * np.arange(grid.n + 1)
     P = np.zeros(grid.n + 1)
-    for m in range(depth):
-        head_coef, head_expo = neumann_term(problem, m)
-        P += head_coef * _power_on_nodes(dt, head_expo)
-    G_F = coef * _power_on_nodes(dt, expo)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        for m in range(depth):
+            head_coef, head_expo = neumann_term(problem, m)
+            P += head_coef * _power_on_nodes(dt, head_expo)
+        G_F = coef * _power_on_nodes(dt, expo)
+    if not (np.isfinite(P[1:]).all() and np.isfinite(G_F).all()):
+        raise DomainError(
+            f"{problem}: the peeled head or the remainder forcing overflows "
+            f"double range on {grid}"
+        )
     return P, G_F
 
 
@@ -370,31 +377,26 @@ def integral_equation_residual(
     quadrature error of the product-trapezoid rule); any curve that does not
     solve the equation leaves a residual bounded away from zero.
 
-    Singular curves (mu < 1) are handled by peeling the analytic head off
-    first: the peeled residual G - G_F + c^nu I^nu G equals the original one
-    up to terms the quadrature could not represent anyway, and node 0 is
-    reported as flagged-undefined.
+    Every curve goes through peeled_source: singular curves (mu < 1) at
+    auto_peel_depth, regular ones at depth 0, where P = 0 and G_F is the
+    forcing F.  The peeled residual G - G_F + c^nu I^nu G, G = N - P, equals
+    the original one up to terms the quadrature could not represent anyway;
+    node 0 of a singular curve is reported as flagged-undefined.
     """
     _require_grid(problem, curve.grid)
-    cn = problem.rate_factor
-    if not curve.singular_start:
-        dt = curve.grid.h * np.arange(curve.grid.n + 1)
-        forcing = problem.N_a * _power_on_nodes(dt, problem.mu_eff - 1.0)
-        integ = rl_integral_numeric(curve, problem.nu, weights=weights)
-        res = curve.values - forcing + cn * integ.values
-        return GridFunction(grid=curve.grid, values=res)
-    depth = auto_peel_depth(problem)
+    depth = auto_peel_depth(problem) if curve.singular_start else 0
     P, G_F = peeled_source(problem, curve.grid, depth)
     G = curve.values - P
-    # The regular remainder of the true solution vanishes at t = a (its
-    # leading exponent is >= 1 by construction of the peel depth).
-    G[0] = 0.0
+    # At node 0 of a singular curve G is NaN; the regular remainder of the
+    # true solution vanishes at t = a (its leading exponent is >= 1 by
+    # construction of the peel depth), so the quadrature takes 0 there.
     integ = rl_integral_numeric(
-        GridFunction(grid=curve.grid, values=G), problem.nu, weights=weights
+        GridFunction(grid=curve.grid, values=np.nan_to_num(G, nan=0.0)),
+        problem.nu,
+        weights=weights,
     )
-    res = G - G_F + cn * integ.values
-    res[0] = math.nan
-    return GridFunction(grid=curve.grid, values=res, singular_start=True)
+    res = G - G_F + problem.rate_factor * integ.values
+    return GridFunction(grid=curve.grid, values=res, singular_start=curve.singular_start)
 
 
 def differential_equation_residual(

@@ -30,6 +30,7 @@ relative:
    algebraic terms off exactly; the contour evaluates only the remainder
    z^-m E[alpha, beta - m alpha](z), whose error x^-m scales.  m >= 2 past
    x = 10 alpha, and on the whole axis the remainder has beta - alpha < 3.
+   Where all of it underflows, a log-space bound below 2^-1075 certifies 0.0.
 3. mpmath series, for the few nodes neither regime certifies (for
    z < -10 alpha and alpha < 2 the double pass is not tried).  The working
    precision is sized to the cancellation, from the double pass or from
@@ -418,13 +419,17 @@ def _contour(alpha: float, beta: float, x: float):
 
 
 @lru_cache(maxsize=64)
-def _far_terms(alpha: float, beta: float, m: int) -> tuple[tuple[float, ...], float]:
-    """The far form's 1/Gamma(beta - alpha k), k = 1..m, and beta - m alpha.
+def _far_terms(
+    alpha: float, beta: float, m: int
+) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+    """The far form's 1/Gamma(beta - alpha k), k = 1..m, the logs of their
+    magnitudes, and beta - m alpha.
 
     math.gamma has a sixth of reciprocal_gamma's error; the rounding lo of the
     exact beta - alpha k is put back to first order, since next to a pole it
-    moves 1/Gamma by ~k! lo, which the far form multiplies by x."""
-    coeffs, h = [], 2.0**-20
+    moves 1/Gamma by ~k! lo, which the far form multiplies by x.  The log of a
+    coefficient that underflows comes from lgamma; an exact pole's is -inf."""
+    coeffs, logs, h = [], [], 2.0**-20
     for k in range(1, m + 1):
         exact = Fraction(beta) - k * Fraction(alpha)
         hi = float(exact)
@@ -434,8 +439,11 @@ def _far_terms(alpha: float, beta: float, m: int) -> tuple[tuple[float, ...], fl
             rg = 1.0 / math.gamma(hi)
         except (ValueError, OverflowError):  # a pole, or Gamma past double range
             rg = reciprocal_gamma(hi)
-        coeffs.append(rg + lo * slope)
-    return tuple(coeffs), float(Fraction(beta) - m * Fraction(alpha))
+        coeff = rg + lo * slope
+        coeffs.append(coeff)
+        logs.append(math.log(abs(coeff)) if coeff
+                    else -math.lgamma(hi) if hi > 0.0 else -math.inf)
+    return tuple(coeffs), tuple(logs), float(Fraction(beta) - m * Fraction(alpha))
 
 
 def _quadrature(params: MLParams, z: float):
@@ -446,10 +454,13 @@ def _quadrature(params: MLParams, z: float):
         E[a, b](z) = z^-m E[a, b - m a](z) - sum_{k=1..m} z^-k / Gamma(b - a k);
 
     the contour's error enters times x^-m, plus _HEAD_ROUNDING of each head
-    term and 2 eps of the tail.  An uncertified value yields None, with the
-    digits the series cancels by (from its peak term and the contour's
-    value) in ``lost``: next to a zero of E the double pass's value is
-    rounding noise, while the contour's still has the right magnitude.
+    term and 2 eps of the tail.  Where the heads' magnitudes plus
+    x^-m (|tail| + error), summed in logs, stay below 2^-1075, E rounds to
+    0.0 and that is certified, though every term underflowed.  An
+    uncertified value yields None, with the digits the series cancels by
+    (from its peak term and the contour's value) in ``lost``: next to a zero
+    of E the double pass's value is rounding noise, while the contour's
+    still has the right magnitude.
     """
     alpha, beta, x = params.alpha, params.beta, -z
     steps = min(max((beta - _FAR_MAX_EXCESS) / alpha, 0.0), _MAX_TERMS + 1.0)
@@ -459,20 +470,26 @@ def _quadrature(params: MLParams, z: float):
     if m == 0:
         value, err, nodes = _contour(alpha, beta, x)
     else:
-        coeffs, shifted = _far_terms(alpha, beta, m)
+        coeffs, logs, shifted = _far_terms(alpha, beta, m)
         zi, zk, value, heads = -1.0 / x, 1.0, 0.0, 0.0
         for coeff in coeffs:
             zk *= zi
             term = -zk * coeff
             value += term
             heads += abs(term)
-        tail, err, nodes = _contour(alpha, shifted, x)
+        tail, tail_err, nodes = _contour(alpha, shifted, x)
         value += tail * zk
-        err = (err + 2.0 * _EPS * abs(tail)) * abs(zk) + _HEAD_ROUNDING * heads
+        err = (tail_err + 2.0 * _EPS * abs(tail)) * abs(zk) + _HEAD_ROUNDING * heads
+    if value != 0.0 and math.isfinite(value) and err / abs(value) <= _TARGET_REL:
+        return MLResult(value, "contour", nodes), None
+    if m > 0:
+        lx = math.log(x)
+        bound = np.logaddexp.reduce([lc - k * lx for k, lc in enumerate(logs, 1)]
+                                    + [math.log(abs(tail) + tail_err) - m * lx])
+        if bound < -1075.0 * math.log(2.0):
+            return MLResult(0.0, "contour", nodes), None
     if value == 0.0 or not math.isfinite(value):  # inf: x^-m overflowed
         return None, None
-    if err / abs(value) <= _TARGET_REL:
-        return MLResult(value, "contour", nodes), None
     return None, _peak_log10_term(params, z) - math.log10(abs(value))
 
 

@@ -16,11 +16,13 @@ and grid discretizations of both operators:
   form: f(a) (t-a)^-mu / Gamma(1-mu) plus a convolution of the first
   differences of f with backward differences of m^(1-mu).
 
-Weight coefficients involve second differences of m^(nu+1), which lose
-about log10(m) digits when formed literally; for m >= 8 they are computed
-from the binomial expansion of (1 +/- 1/m)^(nu+1) instead, keeping the
-row-sum identity sum_k w[j,k] = (t_j - a)^nu / Gamma(nu+1) at machine
-precision even on long grids.
+The weights are h^nu / Gamma(nu+2) times second differences of m^p,
+p = nu + 1, and in column 0 times (m-1)^p - m^(p-1) (m - p) (Diethelm, Ford
+& Freed, Numer. Algorithms 36, 2004).  Formed literally these lose about
+2 log10(m) and log10(m) digits; for m >= 8 both come from the even and odd
+parts of one binomial series in 1/m instead, keeping the row-sum identity
+sum_k w[j,k] = (t_j - a)^nu / Gamma(nu+1) at machine precision even on
+long grids.
 
 Apart from column 0 and the diagonal the weights are Toeplitz, so they take
 O(n) storage, and both operators apply as FFT convolutions in O(n log n)
@@ -130,56 +132,32 @@ def _causal_convolution(kernel_hat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.fft.irfft(kernel_hat * np.fft.rfft(x, size), size)[: len(x)]
 
 
-def _second_diff_pow(m: np.ndarray, p: float) -> np.ndarray:
-    """(m+1)^p - 2 m^p + (m-1)^p, stable for large m.
+def _binomial_tails(m: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(m+1)^p - 2 m^p + (m-1)^p and (m-1)^p - m^(p-1) (m - p), for m >= 1.
 
-    Literal evaluation cancels ~m^2/(p(p-1)) of each operand; the binomial
-    series in 1/m keeps the relative error at a few ulp.
+    With T(x) = sum_{i>=2} C(p,i) x^i and x = 1/m they are m^p (T(x) + T(-x))
+    and m^p T(-x), which the literal forms reach by cancelling ~m^2 and ~m
+    of their operands; from _SERIES_CUT on, one pass sums the even and odd
+    parts of T instead, to a few ulp.
     """
-    out = np.empty_like(m)
+    d2, a0 = np.empty_like(m), np.empty_like(m)
     small = m < _SERIES_CUT
-    if small.any():
-        ms = m[small]
-        out[small] = (ms + 1.0) ** p - 2.0 * ms**p + (ms - 1.0) ** p
-    big = ~small
-    if big.any():
-        mb = m[big]
-        x2 = 1.0 / (mb * mb)
-        c = p * (p - 1.0) / 2.0
-        acc = np.full_like(mb, c)
-        xpow = np.ones_like(mb)
-        for i in range(1, 14):
-            c = c * (p - 2 * i) * (p - 2 * i - 1) / ((2 * i + 1) * (2 * i + 2))
-            xpow = xpow * x2
-            acc = acc + c * xpow
-        out[big] = 2.0 * acc * mb ** (p - 2.0)
-    return out
-
-
-def _first_row_coeff(j: np.ndarray, p: float) -> np.ndarray:
-    """(j-1)^p - j^(p-1) (j - p), stable for large j.
-
-    Equals j^(p-2) * sum_{i>=2} (-1)^i C(p,i) j^-(i-2); the literal form
-    cancels ~j/(p-1) of the operands.
-    """
-    out = np.empty_like(j)
-    small = j < _SERIES_CUT
-    if small.any():
-        js = j[small]
-        out[small] = (js - 1.0) ** p - js ** (p - 1.0) * (js - p)
-    big = ~small
-    if big.any():
-        jb = j[big]
-        x = 1.0 / jb
-        c = p * (p - 1.0) / 2.0
-        acc = np.full_like(jb, c)
-        xpow = np.ones_like(jb)
-        for i in range(3, 19):
-            c = -c * (p - i + 1.0) / i
-            xpow = xpow * x
-            acc = acc + c * xpow
-        out[big] = acc * jb ** (p - 2.0)
-    return out
+    ms = m[small]
+    d2[small] = (ms + 1.0) ** p - 2.0 * ms**p + (ms - 1.0) ** p
+    a0[small] = (ms - 1.0) ** p - ms ** (p - 1.0) * (ms - p)
+    mb = m[~small]
+    x2 = 1.0 / (mb * mb)
+    c = p * (p - 1.0) / 2.0  # C(p, 2i); even and odd / m are T's parts over x^2
+    even, odd, xpow = np.full_like(mb, c), np.zeros_like(mb), np.ones_like(mb)
+    for i in range(1, 14):
+        odd = odd + c * (p - 2 * i) / (2 * i + 1) * xpow
+        c = c * (p - 2 * i) * (p - 2 * i - 1) / ((2 * i + 1) * (2 * i + 2))
+        xpow = xpow * x2
+        even = even + c * xpow
+    scale = mb ** (p - 2.0)
+    d2[~small] = 2.0 * even * scale
+    a0[~small] = (even - odd / mb) * scale
+    return d2, a0
 
 
 def _backward_diff_pow(m: np.ndarray, q: float) -> np.ndarray:
@@ -206,8 +184,8 @@ def build_weights(grid: UniformGrid, nu: float) -> QuadratureWeights:
     n = grid.n
     p = nu + 1.0
     c0 = grid.h**nu * reciprocal_gamma(nu + 2.0)
-    d2 = c0 * _second_diff_pow(np.arange(1.0, n), p) if n >= 2 else np.empty(0)
-    a0 = c0 * _first_row_coeff(np.arange(1.0, n + 1.0), p)
+    d2, a0 = _binomial_tails(np.arange(1.0, n + 1.0), p)
+    d2, a0 = c0 * d2[:-1], c0 * a0
     d2_hat = np.fft.rfft(d2, _fft_size(n - 1))
     return QuadratureWeights(nu=nu, grid=grid, c0=c0, a0=a0, d2=d2, d2_hat=d2_hat)
 

@@ -128,6 +128,25 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err == f"error: --n must be <= {MAX_NODES}, got {n}\n"
 
+    @pytest.mark.parametrize("args", [
+        ["--nu", "0.5", "--c", "1e300", "--T", "1e300"],
+        ["--nu", "1", "--c", "1e200", "--T", "1e200"],
+    ])
+    def test_peel_overflow_exit_2(self, args, capsys):
+        # the remainder forcing c^(2 nu) T^(2 nu) exceeds double range; it is
+        # refused before numpy can warn (the suite turns warnings into errors)
+        assert main(["solve", *args, "--n", "2", "--method", "oracle"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: KineticProblem(")
+        assert "overflows double range" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_tiny_density_still_reaches_the_step_check(self, capsys):
+        args = ["--nu", "1", "--c", "1e200", "--T", "1e200", "--Na", "1e-300"]
+        assert main(["solve", *args, "--n", "2", "--method", "oracle"]) == 2
+        assert capsys.readouterr().err.startswith("error: StepSingularError: ")
+
     @pytest.mark.parametrize("args, error", [
         # E[1](-x) is out of the evaluator's reach from x ~ 1285 on; n = 2
         # reaches x = 5e4 at the first node, refused before any mpmath pass

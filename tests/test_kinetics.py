@@ -584,6 +584,23 @@ class TestIntegralResidual:
         assert r.values[0] == 0.0
         assert r.values[1:] == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("mu", [None, 1.0, 1.5, 2.5])
+    def test_regular_residual_is_the_unpeeled_one(self, mu):
+        # depth 0: P = 0 and G_F is the forcing N_a (t-a)^(mu-1) itself
+        p = KineticProblem(nu=0.7, c=1.3, N_a=0.8, mu=mu)
+        g = UniformGrid.from_span(0.0, p.default_span(), 64)
+        curve = closed_form_curve(p, g)
+        P, G_F = peeled_source(p, g, 0)
+        assert not P.any()
+        t = g.times()
+        forcing = p.N_a * t ** (p.mu_eff - 1.0)
+        assert G_F == pytest.approx(forcing, rel=1e-15, abs=0)
+        r = integral_equation_residual(p, curve)
+        integral = rl_integral_numeric(curve, p.nu).values
+        direct = curve.values - forcing + p.rate_factor * integral
+        assert not r.singular_start
+        assert r.values == pytest.approx(direct, rel=1e-12, abs=1e-15)
+
     def test_singular_curve_residual(self):
         p = KineticProblem(nu=0.5, c=1.0, N_a=1.0, mu=0.5)
         maxima = []

@@ -160,6 +160,24 @@ class TestRegimes:
         # exact 2.0e-373; a contour on beta = 200 once certified 2.6e117
         assert ml_eval(MLParams(0.5, 200.0), -4.0) == 0.0
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_far_form_underflows_to_zero(self, alpha):
+        # every head term and x^-m underflow; the series cancels by ~4e9
+        # (alpha = 0.3) and ~4e5 digits, past any mpmath pass
+        assert ml_eval(MLParams(alpha, 200.0), -1000.0) == 0.0
+
+    @pytest.mark.parametrize("beta", [169.0, 170.0])
+    def test_far_form_keeps_values_near_underflow(self, beta):
+        # E ~ 1e-305 and 3e-307, still normal; the reference sums the
+        # algebraic expansion in mpmath, whose terms fall ~70-fold per step
+        with mp.workdps(40):
+            x, am = mp.mpf(1000), mp.mpf(0.5)
+            terms = (-(-x) ** -k * mp.rgamma(beta - am * k) for k in range(1, 80))
+            ref = float(mp.fsum(terms))
+        assert ref > 1e-307
+        value = ml_eval(MLParams(0.5, beta), -1000.0)
+        assert value == pytest.approx(ref, rel=1e-13, abs=0)
+
     def test_contour_stays_in_its_tested_range(self, monkeypatch):
         calls = []
         contour = mittag_leffler._contour

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -16,6 +17,7 @@ from fracrelax.grids import (
 from fracrelax.riemann_liouville import (
     UnsupportedOrderError,
     _backward_diff_pow,
+    _binomial_tails,
     build_weights,
     rl_derivative_constant,
     rl_derivative_numeric,
@@ -146,6 +148,21 @@ class TestWeights:
         expected = t**nu * reciprocal_gamma(nu + 1.0)
         rel = np.abs(sums[1:] - expected[1:]) / expected[1:]
         assert rel.max() <= 1e-12
+
+    @pytest.mark.parametrize("nu", [0.05, 0.3, 0.5, 0.9, 1.0, 1.3, 1.7, 1.95])
+    def test_weight_coefficients_match_exact_values(self, nu):
+        # both sides of the literal/series cut, and m up to the node cap
+        ms = [*range(1, 10), 12, 50, 1e3, 1e5, 999_999]
+        p = nu + 1.0
+        d2, a0 = _binomial_tails(np.array(ms, dtype=float), p)
+        with mp.workdps(50):
+            pm = mp.mpf(p)
+            for m, got_d2, got_a0 in zip(ms, d2, a0):
+                mm = mp.mpf(m)
+                exact_d2 = (mm + 1) ** pm - 2 * mm**pm + (mm - 1) ** pm
+                exact_a0 = (mm - 1) ** pm - mm ** (pm - 1) * (mm - pm)
+                assert got_d2 == pytest.approx(float(exact_d2), rel=1e-12, abs=0), m
+                assert got_a0 == pytest.approx(float(exact_a0), rel=1e-12, abs=0), m
 
     def test_invalid_order(self):
         g = UniformGrid.from_span(0.0, 1.0, 8)
