@@ -15,7 +15,7 @@ Neumann series term by term with the power-law integral rule.  This module
 evaluates the solutions, the Neumann partial sums, and discrete residuals of
 both the integral equation and its differential form
 
-    D^nu N(t) - N_a (t-a)^-nu / Gamma(1-nu) = -c^nu N(t),   0 < nu < 1.
+    D^nu (N - N_a)(t) = -c^nu N(t),   0 < nu < 1.
 
 For mu < 1 the solution diverges like (t-a)^(mu-1) at the left endpoint;
 curves store a flagged NaN at t = a and residuals peel the leading Neumann
@@ -93,6 +93,11 @@ class KineticProblem:
             raise DomainError(f"a must be finite, got {self.a!r}")
         if self.mu is not None and not (math.isfinite(self.mu) and self.mu > 0.0):
             raise DomainError(f"mu must be positive when present, got {self.mu!r}")
+        try:
+            self.rate_factor
+        except OverflowError:
+            raise DomainError(
+                f"c^nu = {self.c!r}^{self.nu!r} overflows double range") from None
 
     @property
     def mu_eff(self) -> float:
@@ -170,12 +175,11 @@ def neumann_term(problem: KineticProblem, m: int) -> tuple[float, float]:
     residuals, and the oracle's analytic head.
     """
     mu_eff = problem.mu_eff
-    coef = (
-        problem.N_a
-        * gamma(mu_eff)
-        * (-problem.rate_factor) ** m
-        * reciprocal_gamma(m * problem.nu + mu_eff)
-    )
+    try:
+        power = (-problem.rate_factor) ** m
+    except OverflowError:
+        raise DomainError(f"{problem}: (-c^nu)^{m} overflows double range") from None
+    coef = problem.N_a * gamma(mu_eff) * power * reciprocal_gamma(m * problem.nu + mu_eff)
     return coef, m * problem.nu + mu_eff - 1.0
 
 
@@ -404,8 +408,10 @@ def differential_equation_residual(
 ) -> GridFunction:
     """Residual of the differential form for 0 < nu < 1, mu absent.
 
-    r = D^nu N - N_a (t-a)^-nu / Gamma(1-nu) + c^nu N on the interior
-    nodes; node 0 carries the kernel singularity and is flagged undefined.
+    r = D^nu (N - N_a) + c^nu N on the interior nodes; node 0 carries the
+    kernel singularity and is flagged undefined.  D^nu is linear and the L1
+    rule exact on constants, so this is D^nu N - N_a (t-a)^-nu / Gamma(1-nu)
+    + c^nu N, with D^nu of the constant formed only in riemann_liouville.
     """
     if problem.mu is not None:
         raise DomainError("differential residual applies to the plain form only")
@@ -414,15 +420,9 @@ def differential_equation_residual(
             f"differential residual needs 0 < nu < 1, got {problem.nu!r}"
         )
     _require_grid(problem, curve.grid)
-    deriv = rl_derivative_numeric(curve, problem.nu)
-    dt = curve.grid.h * np.arange(curve.grid.n + 1)
-    res = np.full(curve.grid.n + 1, math.nan)
-    c_start = reciprocal_gamma(1.0 - problem.nu)
-    res[1:] = (
-        deriv.values[1:]
-        - problem.N_a * dt[1:] ** (-problem.nu) * c_start
-        + problem.rate_factor * curve.values[1:]
-    )
+    excess = GridFunction(grid=curve.grid, values=curve.values - problem.N_a)
+    deriv = rl_derivative_numeric(excess, problem.nu)
+    res = deriv.values + problem.rate_factor * curve.values
     return GridFunction(grid=curve.grid, values=res, singular_start=True)
 
 

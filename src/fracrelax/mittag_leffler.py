@@ -37,7 +37,9 @@ relative:
    the peak term and the uncertified contour value, and doubled until a
    pass keeps 17 significant digits; a pass stops at a term below
    10^-(dps-3) of its partial sum, and forms alpha k + beta in mpmath.
-   Past _MAX_DPS digits SeriesConvergenceError is raised.
+   Past _MAX_DPS digits SeriesConvergenceError is raised.  One estimate,
+   ``_peak_term``, gives that peak term, the floor and the overflow rule:
+   for z > 0, E exceeds double range where its peak term or mpmath value does.
 """
 
 from __future__ import annotations
@@ -74,8 +76,6 @@ _MAX_TERMS = 10_000
 _FAR_TERMS = 2
 _FAR_MAX_EXCESS = 3.0
 _MAX_DPS = 1200
-# exp overflows past ~709; E[alpha](z) ~ exp(z^(1/alpha))/alpha for z -> +inf.
-_EXP_OVERFLOW = 708.0
 # Contour quadrature: parabola scale, trapezoid step in u, and the decay
 # e^(mu (1 - U^2)) = e^-_CONTOUR_LOG_EPS of e^s at the last node u = U.  The
 # cut at Im u = 1 leaves a discretisation error near e^(-2 pi / h) = e^-63.
@@ -124,7 +124,7 @@ class SeriesConvergenceError(ArithmeticError):
 
 
 class MLOverflowError(OverflowError):
-    """E[alpha, beta](z) exceeds double range for large positive z."""
+    """E[alpha, beta](z > 0) exceeds double range: its peak term or mpmath value does."""
 
 
 @dataclass(frozen=True)
@@ -234,38 +234,45 @@ def _sum_mp(params: MLParams, z: float, dps: int):
     )
 
 
-def _peak_log10_term(params: MLParams, z: float) -> float:
-    """log10 of the largest series term magnitude, estimated analytically."""
-    az = abs(z)
-    if az <= 1.0:
-        return 0.0
+def _peak_term(params: MLParams, x: float) -> tuple[int, float]:
+    """(k, log T_k) for the largest series term T_k = x^k / Gamma(alpha k + beta).
+
+    The terms are log-concave in k, so k is the better of floor(k*),
+    k* = x^(1/alpha)/alpha, and k + 1; k* is capped at _MAX_TERMS in logs.
+    """
     alpha, beta = params.alpha, params.beta
-    k_star = az ** (1.0 / alpha) / alpha
-    arg = alpha * k_star + beta
-    if arg > 1e15:
-        return math.inf
-    return (k_star * math.log(az) - math.lgamma(arg)) / math.log(10.0)
+    lx = math.log(x)
+    capped = lx / alpha - math.log(alpha) >= math.log(_MAX_TERMS)
+    k = _MAX_TERMS if capped else math.floor(math.exp(lx / alpha) / alpha)
+    log_t = k * lx - math.lgamma(alpha * k + beta)
+    up = (k + 1) * lx - math.lgamma(alpha * (k + 1) + beta)
+    return (k + 1, up) if up > log_t else (k, log_t)
+
+
+def _peak_digits(params: MLParams, z: float) -> float:
+    """Digits a series pass at z cancels by where |E| ~ 1: log10 of the peak
+    term, inf at the term cap; 0 for z >= 0, where nothing cancels."""
+    if z >= 0.0:
+        return 0.0
+    k, log_t = _peak_term(params, -z)
+    return math.inf if k >= _MAX_TERMS else log_t / math.log(10.0)
 
 
 def _series_double(params: MLParams, z: float):
     """Double pass with its rounding certificate.
 
     Returns (value, terms_used, digits_lost); value is None when the pass
-    overflowed or cannot be trusted to ~_TARGET_REL relative, and
-    digits_lost then sizes the mpmath re-summation.  Raises MLOverflowError
-    when E itself exceeds double range.
+    cannot be trusted to ~_TARGET_REL relative, and digits_lost then sizes
+    the mpmath re-summation, or is None where a power overflowed.  Raises
+    MLOverflowError where the peak term, and so E (for z > 0 every term is
+    positive), exceeds double range.
     """
-    if z > 1.0 and math.log(z) / params.alpha > math.log(_EXP_OVERFLOW):
+    if z > 1.0 and _peak_term(params, z)[1] > 1024.0 * math.log(2.0):
         raise MLOverflowError(
-            f"E[{params.alpha}, {params.beta}]({z}) exceeds double range"
-        )
+            f"E[{params.alpha}, {params.beta}]({z}) exceeds double range")
     res, k, max_mag = _sum_double(params, z)
     if res is None:
-        if z > 0.0:
-            raise MLOverflowError(
-                f"E[{params.alpha}, {params.beta}]({z}) exceeds double range"
-            )
-        return None, k, _peak_log10_term(params, z)
+        return None, k, None
     # Rounding estimate: additions cost ~eps * max partial sum, the term
     # recurrence another ~eps * k/2 relative per term.
     est = _EPS * (4.0 + 2.0 * math.sqrt(k)) * max(max_mag, 1.0)
@@ -278,11 +285,9 @@ def _series_double(params: MLParams, z: float):
 def _pass_floor(params: MLParams, z: float) -> float:
     """Floor on the rounding estimate of a certifying double pass at z = -x.
 
-    The term sizes T_j = x^j / Gamma(alpha j + beta) are log-concave in j:
-    they rise to one peak and then fall.  With k the better of
-    floor(x^(1/alpha)/alpha) and the index after it, near the peak, the
-    floor is eps (4 + 2 sqrt(k)) T_k, used only where x > 1 and T_k >= 1
-    (else 0 is returned):
+    With (k, T_k) the peak term of ``_peak_term``, the floor is
+    eps (4 + 2 sqrt(k)) T_k, used only where x > 1 and T_k >= 1 (else 0 is
+    returned):
 
     * a pass that adds term k has max_mag >= T_k and more than k terms;
     * a pass that stops while its terms still rise has summed less than
@@ -292,24 +297,15 @@ def _pass_floor(params: MLParams, z: float) -> float:
       _SERIES_TOL max(|E|, 1), so |E| > T_k / _SERIES_TOL, far above the
       |E| < 1e-2 (4 + 2 sqrt(k)) T_k at which the floor rules a pass out.
 
-    The factor 1 - 1e-9 covers the rounding of T_k and of the pass's terms.
+    The factor 1 - 1e-9 covers the rounding of T_k and of the pass's terms;
+    at the z >= -10 alpha where it is asked for, k <= ~165.
     """
-    alpha, beta = params.alpha, params.beta
-    if z >= -1.0 or alpha >= 2.0:
+    if z >= -1.0 or params.alpha >= 2.0:
         return 0.0
-    lx = math.log(-z)
-    k_star = math.exp(lx / alpha) / alpha
-    if k_star > _MAX_TERMS:
-        return 0.0
-    k = math.floor(k_star)
-    log_t = k * lx - math.lgamma(alpha * k + beta)
-    up = (k + 1) * lx - math.lgamma(alpha * (k + 1) + beta)
-    if up > log_t:
-        k, log_t = k + 1, up
+    k, log_t = _peak_term(params, -z)
     if log_t < 0.0:
         return 0.0
-    t_k = math.exp(min(log_t, 700.0))
-    return _EPS * (4.0 + 2.0 * math.sqrt(k)) * t_k * (1.0 - 1e-9)
+    return _EPS * (4.0 + 2.0 * math.sqrt(k)) * math.exp(log_t) * (1.0 - 1e-9)
 
 
 @lru_cache(maxsize=64)
@@ -341,11 +337,15 @@ def _series_mp(params: MLParams, z: float, lost: float) -> MLResult:
     A pass left with fewer than 17 significant digits reads about its own
     precision as lost, so the next one works at max(lost + 27, 2 dps)
     digits.  Returns the value accurate to ~_TARGET_REL relative, or raises
-    SeriesConvergenceError once the precision would pass _MAX_DPS.
+    SeriesConvergenceError once the precision would pass _MAX_DPS, and
+    MLOverflowError where the value rounds to inf.
     """
     dps = max(25, int(min(_MAX_DPS + 1.0, 17 + lost + 8)))  # lost may be inf
     while dps <= _MAX_DPS:
         value, terms, lost = _sum_mp(params, z, dps)
+        if math.isinf(value):
+            raise MLOverflowError(
+                f"E[{params.alpha}, {params.beta}]({z}) exceeds double range")
         if dps - lost >= 17.0:
             return MLResult(value, "series", terms)
         dps = max(int(lost + 27), 2 * dps)
@@ -403,7 +403,9 @@ def _contour(alpha: float, beta: float, x: float):
             mu = _CONTOUR_MU * 2.0 ** (-0.5 * level)
         dist = 1.0 - c * math.sqrt(r / mu)
         theta = math.pi / alpha
-        size = (2.0 / alpha) * math.exp(r * math.cos(theta)) * r ** (1.0 - beta)
+        # e^(r cos theta) underflows to 0 long before r^(1 - beta) overflows
+        decay = math.exp(r * math.cos(theta))
+        size = (2.0 / alpha) * decay * r ** (1.0 - beta) if decay else 0.0
         if dist < 0.0:
             residue = size * math.cos(r * math.sin(theta) + (1.0 - beta) * theta)
             # e^(r cos theta) and the phase carry ~r eps of rounding each
@@ -434,7 +436,10 @@ def _far_terms(
         exact = Fraction(beta) - k * Fraction(alpha)
         hi = float(exact)
         lo = float(exact - Fraction(hi))
-        slope = (reciprocal_gamma(hi + h) - reciprocal_gamma(hi - h)) / (2.0 * h)
+        if hi <= 0.0 and hi.is_integer():  # at the pole -n, 1/Gamma has slope (-1)^n n!
+            slope = (-1) ** int(-hi) * math.factorial(int(-hi))
+        else:
+            slope = (reciprocal_gamma(hi + h) - reciprocal_gamma(hi - h)) / (2.0 * h)
         try:
             rg = 1.0 / math.gamma(hi)
         except (ValueError, OverflowError):  # a pole, or Gamma past double range
@@ -490,7 +495,7 @@ def _quadrature(params: MLParams, z: float):
             return MLResult(0.0, "contour", nodes), None
     if value == 0.0 or not math.isfinite(value):  # inf: x^-m overflowed
         return None, None
-    return None, _peak_log10_term(params, z) - math.log10(abs(value))
+    return None, _peak_digits(params, z) - math.log10(abs(value))
 
 
 def ml_eval_detailed(params: MLParams, z: float) -> MLResult:
@@ -499,6 +504,7 @@ def ml_eval_detailed(params: MLParams, z: float) -> MLResult:
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
     quadrature = None  # (MLResult or None, lost) once evaluated
+    lost = None  # digits the double pass saw cancel
     if params.alpha >= 2.0 or z >= -10.0 * params.alpha:
         floor = _pass_floor(params, z)
         if floor > 0.0 and _pass_looks_doomed(params, -z, floor):
@@ -509,12 +515,12 @@ def ml_eval_detailed(params: MLParams, z: float) -> MLResult:
         value, terms, lost = _series_double(params, z)
         if value is not None:
             return MLResult(value, "series", terms)
-    else:
-        lost = _peak_log10_term(params, z)
     quad, quad_lost = quadrature or _quadrature(params, z)
     if quad is not None:
         return quad
-    return _series_mp(params, z, lost if quad_lost is None else quad_lost)
+    if quad_lost is None:
+        quad_lost = _peak_digits(params, z) if lost is None else lost
+    return _series_mp(params, z, quad_lost)
 
 
 def ml_eval(params: MLParams, z: float) -> float:

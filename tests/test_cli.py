@@ -37,6 +37,12 @@ class TestMlCommand:
         assert float(rows[1][1]) == pytest.approx(math.exp(-1.0), rel=1e-12)
         assert float(rows[2][1]) == pytest.approx(math.exp(-20.0), rel=1e-12)
 
+    def test_value_whose_powers_overflow(self, capsys):
+        # z^k overflows in the double pass; E[0.5](20) = 1.04e174 does not
+        assert main(["ml", "--alpha", "0.5", "--z", "20"]) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert rows[0][1:3] == ["1.0442939379528289e+174", "series"]
+
     def test_cosine_value(self, capsys):
         rc = main(["ml", "--alpha", "2", "--beta", "1", "--z", "-4"])
         assert rc == 0
@@ -139,6 +145,18 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: KineticProblem(")
+        assert "overflows double range" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("args", [
+        ["--nu", "1.5", "--c", "1e308"],  # c^nu itself
+        ["--nu", "0.3", "--c", "1e308", "--method", "oracle"],  # (-c^nu)^4
+    ])
+    def test_rate_overflow_exit_2(self, args, capsys):
+        assert main(["solve", *args, "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
         assert "overflows double range" in captured.err
         assert len(captured.err.splitlines()) == 1
 

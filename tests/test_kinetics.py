@@ -6,6 +6,7 @@ import pytest
 from scipy.special import erfc
 
 from conftest import ml_reference, ml_reference_negative
+from fracrelax.gammafn import gamma, reciprocal_gamma
 from fracrelax.grids import DomainError, GridFunction, GridMismatchError, UniformGrid
 from fracrelax import kinetics, mittag_leffler, verification, volterra
 from fracrelax.kinetics import (
@@ -47,6 +48,7 @@ class TestProblemType:
             dict(nu=1.0, c=1.0, N_a=math.inf),
             dict(nu=1.0, c=1.0, N_a=1.0, mu=0.0),
             dict(nu=1.0, c=1.0, N_a=1.0, mu=-1.0),
+            dict(nu=1.5, c=1e308, N_a=1.0),  # c^nu overflows double range
         ],
     )
     def test_invalid_problems(self, kwargs):
@@ -165,6 +167,15 @@ class TestNeumann:
             coef, expo = neumann_term(p, M + 1)
             nxt = abs(coef) * t**expo
             assert abs(neumann_partial_sum(p, t, M) - closed) <= nxt + 1e-15
+
+    def test_power_overflow_refused(self):
+        # (-c^nu)^m passes double range at m = 4; term 3 keeps its bits
+        p = KineticProblem(nu=0.3, c=1e308, N_a=1.0)
+        coef, expo = neumann_term(p, 3)
+        assert coef == gamma(1.0) * -(p.rate_factor**3) * reciprocal_gamma(3 * 0.3 + 1.0)
+        assert expo == 3 * 0.3
+        with pytest.raises(DomainError, match=r"\(-c\^nu\)\^4 overflows double range"):
+            neumann_term(p, 4)
 
     def test_rejects_negative_order(self):
         p = KineticProblem(nu=0.5, c=1.0, N_a=1.0)
@@ -653,6 +664,27 @@ class TestDifferentialResidual:
         r = differential_equation_residual(p, curve)
         t = g.times()
         assert np.abs(r.values[t >= 0.5]).max() <= 0.05
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_equals_the_start_term_form(self, corrupt):
+        # D^nu (N - N_a) + c^nu N against D^nu N - N_a (t-a)^-nu / Gamma(1-nu)
+        # + c^nu N; the residual is a small difference of these terms, so the
+        # rounding of either form is bounded relative to their magnitudes
+        p = KineticProblem(nu=0.4, c=1.3, N_a=2.0)
+        g = UniformGrid.from_span(0.0, p.default_span(), 200)
+        curve = closed_form_curve(p, g)
+        if corrupt:
+            curve.values[60] *= 1.01
+        t = g.times()[1:]
+        terms = [rl_derivative_numeric(curve, p.nu).values[1:],
+                 -p.N_a * t ** -p.nu / math.gamma(1.0 - p.nu),
+                 p.rate_factor * curve.values[1:]]
+        r = differential_equation_residual(p, curve)
+        assert math.isnan(r.values[0])
+        assert np.all(np.abs(r.values[1:] - sum(terms))
+                      <= 1e-12 * sum(np.abs(term) for term in terms))
+        if corrupt:
+            assert np.abs(r.values[1:]).max() > 0.1
 
     def test_rejects_unsupported_order_and_mu(self):
         g = UniformGrid.from_span(0.0, 5.0, 20)

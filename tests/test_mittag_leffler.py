@@ -259,6 +259,37 @@ class TestRegimes:
             ml_eval(MLParams(1.0, 1.0), 800.0)
         with pytest.raises(MLOverflowError):
             ml_eval(MLParams(0.5, 1.0), 30.0**2)
+        # the peak term e^710 / sqrt(2 pi 710) fits; the mpmath value is inf
+        with pytest.raises(MLOverflowError):
+            ml_eval(MLParams(1.0, 1.0), 710.0)
+
+    @pytest.mark.parametrize("alpha, z", [(0.5, 20.0), (0.3, 5.0)])
+    def test_positive_values_whose_powers_overflow(self, alpha, z):
+        # z^k passes double range before the terms peak, though E (1.04e174
+        # and 2.25e93) does not: the node goes to mpmath, not to a refusal
+        ref = ml_reference(alpha, 1.0, z)
+        assert ml_eval(MLParams(alpha), z) == pytest.approx(ref, rel=1e-13, abs=0)
+
+    def test_exponential_up_to_double_range(self):
+        assert ml_eval(MLParams(1.0), 700.0) == pytest.approx(math.exp(700.0), rel=1e-13, abs=0)
+        assert math.isfinite(ml_eval(MLParams(1.0), 709.0))
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.7, 1.0, 1.3, 1.5, 1.9])
+    @pytest.mark.parametrize("beta", [None, 1.0, 0.3, 2.0])  # None: beta = alpha
+    @pytest.mark.parametrize("x", [1e200, 1e300])
+    def test_far_axis_past_power_range(self, alpha, beta, x):
+        # x^(1/alpha), and for 1 < alpha < 2 the residue's r^(1 - beta'), pass
+        # double range, while e^(r cos theta) underflows; the head terms carry
+        # E, or it underflows to 0.  At (1.3, 0.3), 0.3 - 1.3 rounds onto the
+        # pole -1 and E rests on 1/Gamma's slope there, once 1.1e-12 off.  The
+        # reference is the algebraic expansion, whose terms fall by x per step
+        beta = alpha if beta is None else beta
+        with mp.workdps(40):
+            xm, am = mp.mpf(x), mp.mpf(alpha)
+            ref = float(mp.fsum(-(-xm) ** -k * mp.rgamma(beta - am * k) for k in range(1, 8)))
+        assert ml_eval(MLParams(alpha, beta), -x) == pytest.approx(ref, rel=1e-13, abs=0)
+        with pytest.raises(MLOverflowError):
+            ml_eval(MLParams(alpha, beta), x)
 
     def test_non_convergence_signal(self, monkeypatch):
         monkeypatch.setattr(mittag_leffler, "_MAX_TERMS", 5)
