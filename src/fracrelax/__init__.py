@@ -35,6 +35,7 @@ from .mittag_leffler import (
     SeriesConvergenceError,
     ml_eval,
     ml_eval_detailed,
+    ml_eval_many,
 )
 from .riemann_liouville import (
     QuadratureWeights,
@@ -79,6 +80,7 @@ __all__ = [
     "MLOverflowError",
     "ml_eval",
     "ml_eval_detailed",
+    "ml_eval_many",
     "QuadratureWeights",
     "UnsupportedOrderError",
     "build_weights",

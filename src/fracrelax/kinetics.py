@@ -31,7 +31,7 @@ import numpy as np
 
 from .gammafn import gamma, reciprocal_gamma
 from .grids import DomainError, GridFunction, GridMismatchError, UniformGrid
-from .mittag_leffler import MLParams, ml_eval
+from .mittag_leffler import MLParams, ml_eval_many
 from .riemann_liouville import (
     QuadratureWeights,
     UnsupportedOrderError,
@@ -191,11 +191,20 @@ def neumann_partial_sum(problem: KineticProblem, t: float, M: int) -> float:
 
 
 def _neumann_sum(problem: KineticProblem, dt: np.ndarray, M: int) -> np.ndarray:
-    """Terms m = 0..M added in ascending order, each an array power over dt > 0."""
+    """Terms m = 0..M added in ascending order, each an array power over dt > 0.
+
+    Raises DomainError where the sum leaves double range."""
     if M < 0:
         raise DomainError(f"M must be >= 0, got {M}")
     terms = (neumann_term(problem, m) for m in range(M + 1))
-    return sum(coef * dt**expo for coef, expo in terms)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        total = sum(coef * dt**expo for coef, expo in terms)
+    if not np.isfinite(total).all():
+        raise DomainError(
+            f"{problem}: the Neumann sum through term {M} overflows double range "
+            f"on (0, {float(dt.max())!r}]"
+        )
+    return total
 
 
 def _sampled_curve(
@@ -250,28 +259,47 @@ def _closed_form(problem: KineticProblem, times: list[float]) -> np.ndarray:
     The arguments -c^nu (t-a)^nu and the power-source factors are formed on
     the Python floats ``times`` (numpy's array power rounds differently at
     some nodes), so a curve and the pointwise forms give bitwise the same
-    values.  Plain problems with 0 < nu <= 1 are checked against the
-    relaxation invariant.
+    values; an argument or factor past double range raises DomainError.
+    Plain problems with 0 < nu <= 1 are checked against the relaxation
+    invariant.
     """
     cn, a, nu = problem.rate_factor, problem.a, problem.nu
     if not times[0] > a:
         raise DomainError(f"t must exceed a={a!r}, got {times[0]!r}")
-    params = MLParams(nu, problem.mu_eff)
-    e = np.array([ml_eval(params, -cn * (t - a) ** nu) for t in times])
+    e = ml_eval_many(MLParams(nu, problem.mu_eff), _scaled_powers(problem, times, -cn, nu))
     if problem.mu is None:
         if nu <= 1.0:
             _check_relaxation_invariant(problem, e)
         return problem.N_a * e
-    scale, expo = problem.N_a * gamma(problem.mu), problem.mu - 1.0
-    return np.array([scale * (t - a) ** expo for t in times]) * e
+    scale = problem.N_a * gamma(problem.mu)
+    return np.array(_scaled_powers(problem, times, scale, problem.mu - 1.0)) * e
+
+
+def _scaled_powers(
+    problem: KineticProblem, times: list[float], scale: float, expo: float
+) -> list[float]:
+    """scale (t-a)^expo on the Python floats ``times``; DomainError where one
+    leaves double range."""
+    try:
+        values = [scale * (t - problem.a) ** expo for t in times]
+    except OverflowError:  # the power itself; an overflowing product is inf
+        values = [math.inf]
+    if not all(map(math.isfinite, values)):
+        raise DomainError(
+            f"{problem}: {scale!r} (t-a)^{expo!r} overflows double range "
+            f"on ({problem.a!r}, {times[-1]!r}]"
+        )
+    return values
 
 
 def closed_form_curve(problem: KineticProblem, grid: UniformGrid) -> SolutionCurve:
     """Sample the closed-form solution on a grid, one evaluation of E per node.
 
-    Every value is bitwise the one ``relaxation_solution`` or
-    ``power_source_solution`` returns; plain curves with 0 < nu <= 1 are
-    checked against the relaxation invariant before they are returned.
+    The double series passes of all nodes are summed together, in lockstep
+    (``ml_eval_many``); every value is still bitwise the one
+    ``relaxation_solution`` or ``power_source_solution`` returns.  Plain
+    curves with 0 < nu <= 1 are checked against the relaxation invariant
+    before they are returned.
     """
     _require_grid(problem, grid)
     tail = _closed_form(problem, grid.times()[1:].tolist())

@@ -11,9 +11,9 @@ relative:
    Kahan-compensated double-precision summation, kept wherever its rounding
    estimate (largest partial sum and term count) certifies, because there
    it is accurate to a few ulp, which the Neumann-envelope checks at
-   |z| <= 1 rely on.  Where a floor on that estimate (``_pass_floor``)
-   proves that the pass fails, the contour is evaluated first and the pass
-   is skipped; the skip never changes a value.
+   |z| <= 1 rely on.  Every such node sums its pass first.  ``ml_eval_many``
+   sums a curve's passes in lockstep, one numpy step per term for all of
+   its nodes, with bitwise the scalar pass's results.
 2. Contour, for z = -x < 0 and alpha < 2: the Bromwich integral
 
        E[alpha, beta](-x) = 1/(2 pi i) int_C e^s s^(alpha-beta)/(s^alpha + x) ds
@@ -38,8 +38,8 @@ relative:
    pass keeps 17 significant digits; a pass stops at a term below
    10^-(dps-3) of its partial sum, and forms alpha k + beta in mpmath.
    Past _MAX_DPS digits SeriesConvergenceError is raised.  One estimate,
-   ``_peak_term``, gives that peak term, the floor and the overflow rule:
-   for z > 0, E exceeds double range where its peak term or mpmath value does.
+   ``_peak_term``, gives that peak term and the overflow rule: for z > 0,
+   E exceeds double range where its peak term or mpmath value does.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ __all__ = [
     "MLOverflowError",
     "ml_eval",
     "ml_eval_detailed",
+    "ml_eval_many",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -95,10 +96,6 @@ _CONTOUR_ROUNDING = 4.0 * _EPS
 # it: 1/math.gamma errs by <= 4.4 eps on 60 003 points of [-4, 170], 1/x^k
 # and the product add ~3 eps.
 _HEAD_ROUNDING = 8.0 * _EPS
-# A certified double pass at z would lie within ~1e-13 of |E| and so of the
-# quadrature's value; a floor on its rounding estimate this far above
-# 1e-13 |value| proves that it fails.
-_SKIP_MARGIN = 1.02
 
 
 class _LazyMpmath:
@@ -194,6 +191,76 @@ def _sum_double(params: MLParams, z: float):
     )
 
 
+def _sum_double_many(params: MLParams, zs: np.ndarray) -> list:
+    """``_sum_double`` at every finite z of ``zs``, bitwise, in lockstep.
+
+    Term k is one set of numpy operations over the passes still running;
+    IEEE addition, multiplication and abs round as on Python floats, and
+    fmax ignores a NaN as ``_sum_double``'s comparisons do, so every pass
+    returns the tuple ``_sum_double`` would.  A pass that has not stopped
+    within _MAX_TERMS terms gets None, for the scalar loop to refuse in
+    the caller's order.  Finished passes keep their buffer slots, masked,
+    until half of the slots are finished; then the live ones are compacted.
+    """
+    z = np.array(zs, dtype=float)
+    n = z.size
+    results: list = [None] * n
+    slot = np.arange(n)  # index into zs of each buffer slot
+    live = np.ones(n, dtype=bool)
+    s, comp, max_mag, abs_s = (np.zeros(n) for _ in range(4))
+    zk = np.ones(n)
+    term, at, y, t = (np.empty(n) for _ in range(4))
+    done = np.empty(n, dtype=bool)
+    used = running = n
+    alpha, beta = params.alpha, params.beta
+    size = 64
+    coeffs = _series_coefficients(alpha, beta, size)
+    with np.errstate(over="ignore", invalid="ignore"):  # masked or compared
+        for k in range(_MAX_TERMS + 1):
+            if k == 0 or 2 * running <= used:
+                if running == 0:
+                    break
+                keep = np.flatnonzero(live[:used])
+                for buf in (slot, s, comp, max_mag, abs_s, zk, z):
+                    buf[:running] = buf[keep]
+                live[:running] = True
+                used = running
+                # views of the live slots, taken once per compaction
+                S, T, C, M, A, ZK, Z, L, TERM, AT, Y, D = (
+                    b[:used] for b in (s, t, comp, max_mag, abs_s, zk, z, live,
+                                       term, at, y, done))
+            if k == size:
+                size *= 4
+                coeffs = _series_coefficients(alpha, beta, size)
+            np.multiply(ZK, coeffs[k], out=TERM)
+            np.abs(TERM, out=AT)
+            if k >= 1:
+                np.fmax(A, 1.0, out=Y)
+                Y *= _SERIES_TOL
+                np.less(AT, Y, out=D)
+                D &= L
+                for j in np.flatnonzero(D):
+                    results[slot[j]] = (float(s[j]), k, float(max_mag[j]))
+                    live[j] = False
+                    running -= 1
+            np.subtract(TERM, C, out=Y)
+            np.add(S, Y, out=T)
+            np.subtract(T, S, out=C)
+            C -= Y
+            s, t, S, T = t, s, T, S
+            np.abs(S, out=A)
+            np.fmax(M, A, out=M)
+            np.fmax(M, AT, out=M)
+            ZK *= Z
+            np.isinf(ZK, out=D)
+            D &= L
+            for j in np.flatnonzero(D):
+                results[slot[j]] = (None, k + 1, float(max_mag[j]))
+                live[j] = False
+                running -= 1
+    return results
+
+
 @lru_cache(maxsize=400_000)
 def _mp_rgamma(alpha: float, beta: float, k: int, prec: int):
     """1/Gamma(alpha k + beta) with the argument formed exactly in mpmath,
@@ -258,19 +325,27 @@ def _peak_digits(params: MLParams, z: float) -> float:
     return math.inf if k >= _MAX_TERMS else log_t / math.log(10.0)
 
 
-def _series_double(params: MLParams, z: float):
+def _near(params: MLParams, z):
+    """Whether the double pass is tried at z (a float or an array): for
+    alpha >= 2 everywhere, else at z >= -10 alpha."""
+    return (params.alpha >= 2.0) | (z >= -10.0 * params.alpha)
+
+
+def _series_double(params: MLParams, z: float, summed=None):
     """Double pass with its rounding certificate.
 
-    Returns (value, terms_used, digits_lost); value is None when the pass
-    cannot be trusted to ~_TARGET_REL relative, and digits_lost then sizes
-    the mpmath re-summation, or is None where a power overflowed.  Raises
+    ``summed`` is the pass's ``_sum_double`` tuple where a curve's passes
+    were summed together, else None.  Returns (value, terms_used,
+    digits_lost); value is None when the pass cannot be trusted to
+    ~_TARGET_REL relative, and digits_lost then sizes the mpmath
+    re-summation, or is None where a power overflowed.  Raises
     MLOverflowError where the peak term, and so E (for z > 0 every term is
     positive), exceeds double range.
     """
     if z > 1.0 and _peak_term(params, z)[1] > 1024.0 * math.log(2.0):
         raise MLOverflowError(
             f"E[{params.alpha}, {params.beta}]({z}) exceeds double range")
-    res, k, max_mag = _sum_double(params, z)
+    res, k, max_mag = summed or _sum_double(params, z)
     if res is None:
         return None, k, None
     # Rounding estimate: additions cost ~eps * max partial sum, the term
@@ -280,55 +355,6 @@ def _series_double(params: MLParams, z: float):
         return res, k, 0.0
     lost = math.log10(max(max_mag, 1.0) / abs(res)) if res != 0.0 else 17.0
     return None, k, lost
-
-
-def _pass_floor(params: MLParams, z: float) -> float:
-    """Floor on the rounding estimate of a certifying double pass at z = -x.
-
-    With (k, T_k) the peak term of ``_peak_term``, the floor is
-    eps (4 + 2 sqrt(k)) T_k, used only where x > 1 and T_k >= 1 (else 0 is
-    returned):
-
-    * a pass that adds term k has max_mag >= T_k and more than k terms;
-    * a pass that stops while its terms still rise has summed less than
-      _MAX_TERMS _SERIES_TOL = 1e-12 of max(|E|, 1), while its estimate is
-      at least 6 eps: it cannot certify;
-    * a pass that stops after the peak but before k has T_k below
-      _SERIES_TOL max(|E|, 1), so |E| > T_k / _SERIES_TOL, far above the
-      |E| < 1e-2 (4 + 2 sqrt(k)) T_k at which the floor rules a pass out.
-
-    The factor 1 - 1e-9 covers the rounding of T_k and of the pass's terms;
-    at the z >= -10 alpha where it is asked for, k <= ~165.
-    """
-    if z >= -1.0 or params.alpha >= 2.0:
-        return 0.0
-    k, log_t = _peak_term(params, -z)
-    if log_t < 0.0:
-        return 0.0
-    return _EPS * (4.0 + 2.0 * math.sqrt(k)) * math.exp(log_t) * (1.0 - 1e-9)
-
-
-@lru_cache(maxsize=64)
-def _size_guess(alpha: float, beta: float) -> tuple[float, float, float]:
-    """(a, b, c) with |E[alpha, beta](-x)| ~ a / (b + c x) for x > 1.
-
-    For alpha < 1, 1/Gamma(beta) times the lower bound
-    1/(1 + Gamma(1-alpha) x) of E[alpha](-x); for alpha >= 1, the leading
-    asymptotic term |1/Gamma(beta-alpha)| / x.
-    """
-    if alpha < 1.0:
-        return reciprocal_gamma(beta), 1.0, math.gamma(1.0 - alpha)
-    return abs(reciprocal_gamma(beta - alpha)), 0.0, 1.0
-
-
-def _pass_looks_doomed(params: MLParams, x: float, floor: float) -> bool:
-    """Cheap guess whether ``floor`` exceeds 1e-13 |E[alpha, beta](-x)|.
-
-    It only decides whether the quadrature is evaluated before the double
-    pass or after it fails, never which value is returned.
-    """
-    a, b, c = _size_guess(params.alpha, params.beta)
-    return floor * (b + c * x) > _TARGET_REL * a
 
 
 def _series_mp(params: MLParams, z: float, lost: float) -> MLResult:
@@ -498,24 +524,21 @@ def _quadrature(params: MLParams, z: float):
     return None, _peak_digits(params, z) - math.log10(abs(value))
 
 
-def ml_eval_detailed(params: MLParams, z: float) -> MLResult:
-    """Evaluate E[alpha, beta](z) and report the regime and terms used."""
+def ml_eval_detailed(params: MLParams, z: float, summed=None) -> MLResult:
+    """Evaluate E[alpha, beta](z) and report the regime and terms used.
+
+    ``summed`` is the double pass at z, already summed by ``ml_eval_many``,
+    or None.
+    """
     z = float(z)  # a numpy scalar would slow every term of the double pass
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
-    quadrature = None  # (MLResult or None, lost) once evaluated
     lost = None  # digits the double pass saw cancel
-    if params.alpha >= 2.0 or z >= -10.0 * params.alpha:
-        floor = _pass_floor(params, z)
-        if floor > 0.0 and _pass_looks_doomed(params, -z, floor):
-            quadrature = _quadrature(params, z)
-            quad = quadrature[0]
-            if quad is not None and floor > _SKIP_MARGIN * _TARGET_REL * abs(quad.value):
-                return quad
-        value, terms, lost = _series_double(params, z)
+    if _near(params, z):
+        value, terms, lost = _series_double(params, z, summed)
         if value is not None:
             return MLResult(value, "series", terms)
-    quad, quad_lost = quadrature or _quadrature(params, z)
+    quad, quad_lost = _quadrature(params, z)
     if quad is not None:
         return quad
     if quad_lost is None:
@@ -526,3 +549,21 @@ def ml_eval_detailed(params: MLParams, z: float) -> MLResult:
 def ml_eval(params: MLParams, z: float) -> float:
     """E[alpha, beta](z) for real z; accurate to ~1e-13 relative in contract."""
     return ml_eval_detailed(params, z).value
+
+
+def ml_eval_many(params: MLParams, zs) -> np.ndarray:
+    """``ml_eval`` at each z of ``zs``, bitwise, with the double passes of
+    all nodes where ``_near`` tries one summed in lockstep.
+
+    Each node then goes through ``ml_eval_detailed``, which picks its
+    regime; a lone near node keeps the scalar pass, which costs less than
+    a lockstep kernel of one.
+    """
+    z = np.array(zs, dtype=float)
+    near = np.isfinite(z) & _near(params, z)
+    summed = [None] * z.size
+    if np.count_nonzero(near) > 1:
+        for j, sums in zip(np.flatnonzero(near), _sum_double_many(params, z[near])):
+            summed[j] = sums
+    return np.array([ml_eval_detailed(params, zj, sj).value
+                     for zj, sj in zip(z.tolist(), summed)])

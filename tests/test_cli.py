@@ -2,6 +2,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -157,6 +158,27 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert "overflows double range" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("method", ["closed", "neumann:3"])
+    @pytest.mark.parametrize("args", [
+        # (t-a)^1.5 at t = 1e300 exceeds double range, though c^nu (t-a)^nu
+        # would not
+        ["--nu", "1.5", "--c", "1e-200", "--T", "1e300"],
+        ["--nu", "1.5", "--c", "1e-200", "--T", "1e300", "--mu", "2.5"],
+        # c^nu (t-a)^nu itself
+        ["--nu", "1", "--c", "1e10", "--T", "1e300"],
+    ])
+    def test_window_overflow_exit_2(self, method, args, capsys):
+        # refused as a DomainError, with no numpy warning before
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", *args, "--n", "2", "--method", method]) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: KineticProblem(")
         assert "overflows double range" in captured.err
         assert len(captured.err.splitlines()) == 1
 

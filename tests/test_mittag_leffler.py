@@ -467,11 +467,11 @@ SKIP_ALPHAS = [round(0.1 * i, 1) for i in range(1, 20)]
 
 
 class TestDoomedPassSkip:
-    """The double pass is skipped only where its certificate provably fails.
+    """A double pass that certifies its value is the value returned.
 
-    For z = -x < -1 a floor on the pass's rounding estimate, from the series'
-    peak term, is compared with the quadrature's value; the skip may move
-    cost, never a value."""
+    Every near node (z >= -10 alpha) sums its double pass first; only where
+    the pass's rounding certificate fails does the contour or mpmath take
+    the node."""
 
     @staticmethod
     def certified_pass(params, z):
@@ -479,7 +479,7 @@ class TestDoomedPassSkip:
 
     @pytest.mark.parametrize("alpha", SKIP_ALPHAS)
     def test_certifying_pass_is_never_skipped(self, alpha):
-        skipped = 0
+        handed_on = 0  # nodes whose pass fails, taken by another regime
         for beta in sorted({alpha, 0.5, 1.0, 1.3, 1.5, 2.0}):
             params = MLParams(alpha, beta)
             for x in np.linspace(1.0, 10.0 * alpha, 41)[1:]:
@@ -488,52 +488,75 @@ class TestDoomedPassSkip:
                 if value is not None:
                     assert res.regime == "series" and res.value == value, (beta, x)
                 else:
-                    skipped += res.regime != "series"
+                    handed_on += res.regime != "series"
         if alpha >= 0.3:  # x <= 10 alpha leaves little cancellation below
-            assert skipped > 0
+            assert handed_on > 0
 
-    @pytest.mark.parametrize("alpha", SKIP_ALPHAS)
-    def test_floor_is_below_every_certifying_estimate(self, alpha):
-        # the estimate eps (4 + 2 sqrt(k)) max(max_mag, 1) of every pass that
-        # certifies lies above the floor; the floor is positive somewhere
-        positive = 0
-        for beta in sorted({alpha, 0.5, 1.0, 1.3, 1.5, 2.0}):
+
+class TestLockstepPasses:
+    """``_sum_double_many`` gives every node the tuple of ``_sum_double``,
+    and ``ml_eval_many`` every node the value of ``ml_eval``."""
+
+    @staticmethod
+    def scalar(params, zs):
+        return [mittag_leffler._sum_double(params, z) for z in zs]
+
+    @pytest.mark.parametrize("alpha", SKIP_ALPHAS + [2.0, 2.5])
+    def test_equals_the_scalar_pass(self, alpha):
+        for beta in sorted({alpha, 0.5, 1.0, 1.3, 2.0}):
             params = MLParams(alpha, beta)
-            for x in np.linspace(1.0, 10.0 * alpha, 41)[1:]:
-                floor = mittag_leffler._pass_floor(params, -x)
-                positive += floor > 0.0
-                s, k, max_mag = mittag_leffler._sum_double(params, -x)
-                est = mittag_leffler._EPS * (4.0 + 2.0 * math.sqrt(k)) * max(max_mag, 1.0)
-                if s is not None and s != 0.0 and est <= 1e-13 * abs(s):
-                    assert floor <= est, (beta, x)
-        assert positive > 0 or alpha == 0.1  # where no x lies in (1, 10 alpha]
+            zs = np.linspace(-10.0 * alpha, 1.0, 201).tolist()
+            assert mittag_leffler._sum_double_many(params, zs) == self.scalar(params, zs)
 
-    @pytest.mark.parametrize("alpha, beta, x", [
-        (0.3, 0.5, 1.03),  # Gamma(alpha k + beta) < 1 at both candidate k
-        (0.7, 1.0, 2.5), (1.5, 1.3, 8.0), (1.9, 2.0, 15.0), (0.5, 0.5, 4.0),
-    ])
-    def test_floor_is_the_peak_term_bound(self, alpha, beta, x):
-        k = math.floor(math.exp(math.log(x) / alpha) / alpha)
-        t, j = max((mp.mpf(x) ** j * mp.rgamma(mp.mpf(alpha) * j + beta), j)
-                   for j in (k, k + 1))
-        expected = mittag_leffler._EPS * (4 + 2 * math.sqrt(j)) * float(t) * (1 - 1e-9)
-        params = MLParams(alpha, beta)
-        floor = mittag_leffler._pass_floor(params, -x)
-        assert t >= 1 and floor == pytest.approx(expected, rel=1e-12, abs=0)
+    def test_overflowing_powers(self):
+        # z^k overflows at different k, beside passes that stop
+        params = MLParams(2.5)
+        zs = [-1e100, -1e10, -1e300, -50.0, -1e100, -0.5, 3.0]
+        many = mittag_leffler._sum_double_many(params, zs)
+        assert many == self.scalar(params, zs)
+        assert many[0][0] is None and many[0] == mittag_leffler._sum_double(params, -1e100)
 
-    def test_skip_returns_the_quadrature(self, monkeypatch):
-        # a provably doomed pass is not run at all
+    def test_long_passes(self):
+        # past the 64- and 256-entry coefficient tables
+        for alpha, zs in [(0.1, [1.0, 1.2, 1.3, -1.0, 1e-3]), (0.05, [1.0, 0.5, -0.5, -1e-3]),
+                          (3e-4, [1.13, 1.12, 0.5])]:  # terms that reach inf
+            params = MLParams(alpha)
+            many = mittag_leffler._sum_double_many(params, zs)
+            assert many == self.scalar(params, zs)
+            assert max(k for _, k, _ in many) > 256
+            assert min(k for _, k, _ in many) < 64
+
+    def test_curves_equal_the_pointwise_values(self, monkeypatch):
+        seen = []
+        real = mittag_leffler._sum_double_many
+
+        def spy(params, zs):
+            seen.append((params, np.array(zs)))
+            return real(params, zs)
+
+        monkeypatch.setattr(mittag_leffler, "_sum_double_many", spy)
+        for nu, mu, span in [(0.5, None, 40.0), (0.7, 0.5, 5.0), (2.5, None, 5.0),
+                             (1.5, 1.3, 20.0)]:
+            p = KineticProblem(nu=nu, c=1.0, N_a=1.0, mu=mu)
+            params = MLParams(nu, p.mu_eff)
+            zs = (-(UniformGrid.from_span(0.0, span, 300).times()[1:] ** nu)).tolist()
+            values = mittag_leffler.ml_eval_many(params, zs)
+            assert values.tolist() == [ml_eval(params, z) for z in zs]
+        # the kernel sees only near nodes: z >= -10 alpha where alpha < 2
+        assert len(seen) == 4
+        for params, zs in seen:
+            assert params.alpha >= 2.0 or (zs >= -10.0 * params.alpha).all()
+            assert zs.size > 1
+
+    def test_lone_near_node_keeps_the_scalar_pass(self, monkeypatch):
         def forbidden(*args):
-            raise AssertionError("double pass")
+            raise AssertionError("lockstep kernel")
 
-        monkeypatch.setattr(mittag_leffler, "_sum_double", forbidden)
-        res = ml_eval_detailed(MLParams(0.5, 1.0), -4.0)
-        assert res.regime == "contour"
-        ref = ml_reference_negative(0.5, 4.0)
-        assert res.value == pytest.approx(ref, rel=1e-13, abs=0)
-        res = ml_eval_detailed(MLParams(1.0, 1.0), -6.0)
-        assert res.regime == "contour"
-        assert res.value == pytest.approx(math.exp(-6.0), rel=1e-13, abs=0)
+        monkeypatch.setattr(mittag_leffler, "_sum_double_many", forbidden)
+        params = MLParams(0.5)
+        zs = [-0.5, -20.0, -30.0]
+        assert mittag_leffler.ml_eval_many(params, zs).tolist() == [
+            ml_eval(params, z) for z in zs]
 
 
 class TestCompletelyMonotoneRange:
