@@ -1,4 +1,9 @@
-"""Uniform time meshes of at most MAX_NODES steps, and sampled functions on them."""
+"""Uniform time meshes of at most MAX_NODES steps, and sampled functions on them.
+
+Functions are sampled at the offsets t_j - a = j h, never at the rounded
+nodes a + j h, which only label the output: a window far from 0 then gives
+bitwise the values of the same window at 0.
+"""
 
 from __future__ import annotations
 
@@ -49,14 +54,22 @@ class UniformGrid:
         if not (math.isfinite(self.h) and self.h > 0.0):
             raise DomainError(f"grid step must be positive, got {self.h!r}")
         _check_steps(self.n)
+        if not math.isfinite(self.a + self.n * self.h):
+            raise DomainError(
+                f"grid end {self.a!r} + {self.n} * {self.h!r} overflows double range")
 
     @property
     def span(self) -> float:
         """Window length T = n*h."""
         return self.n * self.h
 
+    def offsets(self) -> np.ndarray:
+        """t_j - a = j h, j = 0..n: where every grid function is sampled."""
+        return self.h * np.arange(self.n + 1)
+
     def times(self) -> np.ndarray:
-        return self.a + self.h * np.arange(self.n + 1)
+        """Nodes a + j h, the labels of the samples."""
+        return self.a + self.offsets()
 
     @classmethod
     def from_span(cls, a: float, span: float, n: int) -> "UniformGrid":

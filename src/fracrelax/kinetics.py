@@ -17,9 +17,12 @@ both the integral equation and its differential form
 
     D^nu (N - N_a)(t) = -c^nu N(t),   0 < nu < 1.
 
-For mu < 1 the solution diverges like (t-a)^(mu-1) at the left endpoint;
-curves store a flagged NaN at t = a and residuals peel the leading Neumann
-terms off analytically so the quadrature only ever sees the regular part.
+The solutions depend on t - a alone: curves and residuals are formed on the
+grid's offsets t_j - a = j h, where one function samples every Neumann term,
+node 0 included.  For mu < 1 the solution diverges like (t-a)^(mu-1) at the
+left endpoint; curves store a flagged NaN at t = a and residuals peel the
+leading Neumann terms off analytically so the quadrature only ever sees the
+regular part.
 """
 
 from __future__ import annotations
@@ -137,7 +140,7 @@ def relaxation_solution(problem: KineticProblem, t: float) -> float:
     """Closed-form plain relaxation value N_a E[nu](-c^nu (t-a)^nu)."""
     if problem.mu is not None:
         raise DomainError("plain relaxation form requires mu to be absent")
-    return float(_closed_form(problem, [float(t)])[0])
+    return float(_closed_form(problem, [float(t) - problem.a])[0])
 
 
 def relaxation_solution_origin(nu: float, c: float, N_0: float, t: float) -> float:
@@ -153,7 +156,7 @@ def power_source_solution(problem: KineticProblem, t: float) -> float:
     """
     if problem.mu is None:
         raise DomainError("power-source form requires mu")
-    return float(_closed_form(problem, [float(t)])[0])
+    return float(_closed_form(problem, [float(t) - problem.a])[0])
 
 
 def power_source_solution_origin(
@@ -187,49 +190,44 @@ def neumann_partial_sum(problem: KineticProblem, t: float, M: int) -> float:
     """Neumann partial sum through term M at t: M + 1 coefficient pairs and powers."""
     if not t > problem.a:
         raise DomainError(f"t must exceed a={problem.a!r}, got {t!r}")
-    return float(_neumann_sum(problem, np.array([t - problem.a]), M)[0])
+    return float(_neumann_sum(problem, np.array([t - problem.a]), _through(M))[0])
 
 
-def _neumann_sum(problem: KineticProblem, dt: np.ndarray, M: int) -> np.ndarray:
-    """Terms m = 0..M added in ascending order, each an array power over dt > 0.
-
-    Raises DomainError where the sum leaves double range."""
+def _through(M: int) -> range:
+    """Terms 0..M of a Neumann partial sum."""
     if M < 0:
         raise DomainError(f"M must be >= 0, got {M}")
-    terms = (neumann_term(problem, m) for m in range(M + 1))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        total = sum(coef * dt**expo for coef, expo in terms)
-    if not np.isfinite(total).all():
+    return range(M + 1)
+
+
+def _neumann_sum(problem: KineticProblem, dt: np.ndarray, terms: range) -> np.ndarray:
+    """Neumann terms ``terms`` at the offsets dt = t - a >= 0, added in ascending order.
+
+    At dt = 0 each term takes its limit: 0 for a positive exponent, its
+    coefficient for exponent 0, NaN for a negative one.  Raises DomainError
+    where the sum leaves double range at some dt > 0.
+    """
+    total = np.zeros_like(dt)
+    with np.errstate(all="ignore"):  # dt = 0 is set and overflow refused below
+        for m in terms:
+            coef, expo = neumann_term(problem, m)
+            total += coef * dt**expo
+            if expo < 0.0:
+                total[dt == 0.0] = math.nan
+    if not np.isfinite(total[dt > 0.0]).all():
         raise DomainError(
-            f"{problem}: the Neumann sum through term {M} overflows double range "
-            f"on (0, {float(dt.max())!r}]"
+            f"{problem}: the sum of Neumann terms {terms.start} to {terms.stop - 1} "
+            f"overflows double range on t - a in (0, {float(dt[-1])!r}]"
         )
     return total
 
 
 def _sampled_curve(
-    problem: KineticProblem, grid: UniformGrid, tail: np.ndarray, method_tag: str
+    problem: KineticProblem, grid: UniformGrid, values: np.ndarray, method_tag: str
 ) -> SolutionCurve:
-    """The curve with ``tail`` at t > a and the solution's limit at t = a.
-
-    That limit is N_a Gamma(mu) for mu = 1 and 0 for mu > 1; for mu < 1 the
-    solution diverges and node 0 is a flagged NaN.  Every Neumann term with
-    a positive exponent vanishes at t = a, so partial sums share the limit.
-    """
-    mu_eff = problem.mu_eff
-    if mu_eff < 1.0:
-        start = math.nan
-    elif mu_eff > 1.0:
-        start = 0.0
-    else:
-        start = problem.N_a if problem.mu is None else problem.N_a * gamma(problem.mu)
-    return SolutionCurve(
-        grid=grid,
-        values=np.concatenate(([start], tail)),
-        singular_start=mu_eff < 1.0,
-        problem=problem,
-        method_tag=method_tag,
-    )
+    """``values`` as a curve; node 0 is flagged NaN where mu < 1 (N diverges at t = a)."""
+    return SolutionCurve(grid=grid, values=values, singular_start=problem.mu_eff < 1.0,
+                         problem=problem, method_tag=method_tag)
 
 
 def _check_relaxation_invariant(problem: KineticProblem, ratio: np.ndarray) -> None:
@@ -253,57 +251,60 @@ def _check_relaxation_invariant(problem: KineticProblem, ratio: np.ndarray) -> N
         )
 
 
-def _closed_form(problem: KineticProblem, times: list[float]) -> np.ndarray:
-    """The closed-form solution at increasing times t > a, one E per time.
+def _closed_form(problem: KineticProblem, dts: list[float]) -> np.ndarray:
+    """The closed-form solution at increasing offsets dt = t - a > 0, one E each.
 
-    The arguments -c^nu (t-a)^nu and the power-source factors are formed on
-    the Python floats ``times`` (numpy's array power rounds differently at
+    The arguments -c^nu dt^nu and the power-source factors are formed on
+    the Python floats ``dts`` (numpy's array power rounds differently at
     some nodes), so a curve and the pointwise forms give bitwise the same
     values; an argument or factor past double range raises DomainError.
     Plain problems with 0 < nu <= 1 are checked against the relaxation
     invariant.
     """
-    cn, a, nu = problem.rate_factor, problem.a, problem.nu
-    if not times[0] > a:
-        raise DomainError(f"t must exceed a={a!r}, got {times[0]!r}")
-    e = ml_eval_many(MLParams(nu, problem.mu_eff), _scaled_powers(problem, times, -cn, nu))
+    cn, nu = problem.rate_factor, problem.nu
+    if not dts[0] > 0.0:
+        raise DomainError(f"t must exceed a={problem.a!r}, got t - a = {dts[0]!r}")
+    e = ml_eval_many(MLParams(nu, problem.mu_eff), _scaled_powers(problem, dts, -cn, nu))
     if problem.mu is None:
         if nu <= 1.0:
             _check_relaxation_invariant(problem, e)
         return problem.N_a * e
     scale = problem.N_a * gamma(problem.mu)
-    return np.array(_scaled_powers(problem, times, scale, problem.mu - 1.0)) * e
+    return np.array(_scaled_powers(problem, dts, scale, problem.mu - 1.0)) * e
 
 
 def _scaled_powers(
-    problem: KineticProblem, times: list[float], scale: float, expo: float
+    problem: KineticProblem, dts: list[float], scale: float, expo: float
 ) -> list[float]:
-    """scale (t-a)^expo on the Python floats ``times``; DomainError where one
+    """scale dt^expo on the Python floats ``dts``; DomainError where one
     leaves double range."""
     try:
-        values = [scale * (t - problem.a) ** expo for t in times]
+        values = [scale * dt**expo for dt in dts]
     except OverflowError:  # the power itself; an overflowing product is inf
         values = [math.inf]
     if not all(map(math.isfinite, values)):
         raise DomainError(
             f"{problem}: {scale!r} (t-a)^{expo!r} overflows double range "
-            f"on ({problem.a!r}, {times[-1]!r}]"
+            f"on t - a in (0, {dts[-1]!r}]"
         )
     return values
 
 
 def closed_form_curve(problem: KineticProblem, grid: UniformGrid) -> SolutionCurve:
-    """Sample the closed-form solution on a grid, one evaluation of E per node.
+    """Sample the closed-form solution at the grid's offsets, one E per node.
 
     The double series passes of all nodes are summed together, in lockstep
     (``ml_eval_many``); every value is still bitwise the one
-    ``relaxation_solution`` or ``power_source_solution`` returns.  Plain
-    curves with 0 < nu <= 1 are checked against the relaxation invariant
-    before they are returned.
+    ``relaxation_solution`` or ``power_source_solution`` returns at t - a
+    = j h, whatever a is.  Node 0 is the solution's limit at t = a, that of
+    Neumann term 0: the later terms vanish there, or term 0 diverges.  Plain
+    curves with 0 < nu <= 1 are checked against the relaxation invariant.
     """
     _require_grid(problem, grid)
-    tail = _closed_form(problem, grid.times()[1:].tolist())
-    return _sampled_curve(problem, grid, tail, "closed_form")
+    dt = grid.offsets()
+    start = _neumann_sum(problem, dt[:1], range(1))
+    tail = _closed_form(problem, dt[1:].tolist())
+    return _sampled_curve(problem, grid, np.concatenate((start, tail)), "closed_form")
 
 
 def restrict_curve(curve: SolutionCurve, grid: UniformGrid) -> SolutionCurve:
@@ -327,14 +328,14 @@ def restrict_curve(curve: SolutionCurve, grid: UniformGrid) -> SolutionCurve:
 
 
 def neumann_curve(problem: KineticProblem, grid: UniformGrid, M: int) -> SolutionCurve:
-    """Sample the M-term Neumann partial sum on a grid.
+    """Sample the M-term Neumann partial sum at the grid's offsets.
 
     Costs M + 1 coefficient pairs per curve plus M + 1 array powers over
-    the nodes, whatever the grid size.
+    the offsets, node 0 included, whatever the grid size.
     """
     _require_grid(problem, grid)
-    tail = _neumann_sum(problem, grid.times()[1:] - problem.a, M)
-    return _sampled_curve(problem, grid, tail, "neumann")
+    return _sampled_curve(problem, grid, _neumann_sum(problem, grid.offsets(), _through(M)),
+                          "neumann")
 
 
 def auto_peel_depth(problem: KineticProblem, target_exponent: float = 1.0) -> int:
@@ -363,39 +364,20 @@ def peeled_source(
 
     with u_depth the next Neumann term; the identity is exact because each
     peeled term maps to the next one under the power-law integral rule.
-    Returns (P, G_F) sampled on the nodes; at t = a a term with a negative
-    exponent (mu < 1) has no finite value, so node 0 is NaN where one enters.
-    Raises DomainError where u_depth, and so G, diverges at t = a, and where
-    P or G_F overflows double range at a node.
+    Returns (P, G_F) sampled at the grid's offsets; at t = a a term with a
+    negative exponent (mu < 1) has no finite value, so node 0 of P is NaN
+    where one enters.  Raises DomainError where u_depth, and so G, diverges
+    at t = a, and where P or G_F overflows double range.
     """
-    coef, expo = neumann_term(problem, depth)
+    expo = neumann_term(problem, depth)[1]
     if expo < 0.0:
         raise DomainError(
             f"{problem}: after {depth} peeled Neumann terms the remainder "
             f"forcing (t-a)^{expo:.6g} still diverges at t = a"
         )
-    dt = grid.h * np.arange(grid.n + 1)
-    P = np.zeros(grid.n + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        for m in range(depth):
-            head_coef, head_expo = neumann_term(problem, m)
-            P += head_coef * _power_on_nodes(dt, head_expo)
-        G_F = coef * _power_on_nodes(dt, expo)
-    if not (np.isfinite(P[1:]).all() and np.isfinite(G_F).all()):
-        raise DomainError(
-            f"{problem}: the peeled head or the remainder forcing overflows "
-            f"double range on {grid}"
-        )
-    return P, G_F
-
-
-def _power_on_nodes(dt: np.ndarray, expo: float) -> np.ndarray:
-    if expo == 0.0:
-        return np.ones_like(dt)
-    out = np.empty_like(dt)
-    out[0] = 0.0 if expo > 0.0 else math.nan
-    out[1:] = dt[1:] ** expo
-    return out
+    dt = grid.offsets()
+    head, remainder = range(depth), range(depth, depth + 1)
+    return _neumann_sum(problem, dt, head), _neumann_sum(problem, dt, remainder)
 
 
 def integral_equation_residual(

@@ -19,7 +19,7 @@ and grid discretizations of both operators:
 The weights are h^nu / Gamma(nu+2) times second differences of m^p,
 p = nu + 1, and in column 0 times (m-1)^p - m^(p-1) (m - p) (Diethelm, Ford
 & Freed, Numer. Algorithms 36, 2004).  Formed literally these lose about
-2 log10(m) and log10(m) digits; for m >= 8 both come from the even and odd
+2 log10(m) and log10(m) digits; for m >= 3 both come from the even and odd
 parts of one binomial series in 1/m instead, keeping the row-sum identity
 sum_k w[j,k] = (t_j - a)^nu / Gamma(nu+1) at machine precision even on
 long grids.
@@ -50,8 +50,9 @@ __all__ = [
     "rl_derivative_numeric",
 ]
 
-# Below this index the literal difference formulas are already accurate.
-_SERIES_CUT = 8
+# From this index on the series in 1/m meets a few ulp in its 13 terms; at
+# m = 1 and 2 it converges too slowly, and the literal forms are used.
+_SERIES_CUT = 3
 
 
 class UnsupportedOrderError(ValueError):

@@ -90,8 +90,8 @@ def _prepare(problem: KineticProblem, cfg: OracleConfig, weights):
 
 
 def _assemble(problem: KineticProblem, cfg: OracleConfig, P, G):
-    # node 0 takes the solution's limit at t = a, as every curve does
-    return _sampled_curve(problem, cfg.grid, (P + G)[1:], "oracle")
+    # node 0 of P + G sums the Neumann terms' limits at t = a, as on every curve
+    return _sampled_curve(problem, cfg.grid, P + G, "oracle")
 
 
 def solve_volterra(

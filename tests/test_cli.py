@@ -8,8 +8,10 @@ import pytest
 
 from fracrelax import verification
 from fracrelax.cli import main
-from fracrelax.grids import MAX_NODES
-from fracrelax.verification import run_sweep
+from fracrelax.grids import MAX_NODES, UniformGrid
+from fracrelax.kinetics import KineticProblem, closed_form_curve
+from fracrelax.verification import format_real, run_sweep
+from fracrelax.volterra import OracleConfig, solve_volterra
 
 
 def run_cli(args):
@@ -115,9 +117,28 @@ class TestSolveCommand:
         assert res.returncode == 0
         assert "max |oracle - closed|" in res.stderr
 
+    def test_oracle_prints_its_curve_and_gap(self, capsys):
+        args = ["--nu", "0.5", "--mu", "0.5", "--c", "1.3", "--Na", "0.7", "--n", "200"]
+        assert main(["solve", *args, "--method", "oracle"]) == 0
+        captured = capsys.readouterr()
+        p = KineticProblem(nu=0.5, c=1.3, N_a=0.7, mu=0.5)
+        grid = UniformGrid.from_span(0.0, p.default_span(), 200)
+        oracle = solve_volterra(p, OracleConfig(grid=grid))
+        closed = closed_form_curve(p, grid)
+        gap = abs(oracle.defined_values() - closed.defined_values()).max()
+        _, rows = parse_csv(captured.out)
+        assert [r[1] for r in rows] == [format_real(v) for v in oracle.values]
+        assert captured.err == f"max |oracle - closed| = {gap:.6e}\n"
+
     def test_bad_method_exit_2(self):
         assert main(["solve", "--nu", "0.5", "--c", "1", "--method", "magic"]) == 2
         assert main(["solve", "--nu", "0.5", "--c", "1", "--method", "neumann:x"]) == 2
+
+    def test_negative_neumann_order_exit_2(self, capsys):
+        assert main(["solve", "--nu", "0.5", "--c", "1", "--method", "neumann:-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Neumann order must be >= 0\n"
 
     def test_bad_problem_exit_2(self):
         assert main(["solve", "--nu", "-0.5", "--c", "1"]) == 2
@@ -179,6 +200,21 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: KineticProblem(")
+        assert "overflows double range" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("method", ["closed", "oracle"])
+    def test_grid_end_overflow_exit_2(self, method, capsys):
+        # the last node a + n h = 2e308 passes double range; it is refused
+        # where the grid is made, before a node is formed
+        args = ["--nu", "0.5", "--c", "1e-300", "--a", "1e308", "--T", "1e308"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", *args, "--n", "2", "--method", method]) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: grid end 1e+308 + 2 * ")
         assert "overflows double range" in captured.err
         assert len(captured.err.splitlines()) == 1
 
@@ -248,6 +284,18 @@ class TestVerifyCommand:
         report = capsys.readouterr().out
         assert float("1.666666666666667") != 5.0 / 3.0
         assert main([*args, "--T", "1.666666666666667"]) == 0
+        assert capsys.readouterr().out == report
+
+    @pytest.mark.parametrize("args", [
+        ["--nu", "0.5", "--mu", "0.5", "--c", "1", "--a", "1e9"],
+        ["--nu", "0.5", "--mu", "0.5", "--c", "1", "--a", "1e12"],
+        ["--nu", "1", "--c", "2", "--a", "1e12"],
+    ])
+    def test_report_does_not_depend_on_the_window_start(self, args, capsys):
+        # the ladder samples every curve, mask and reference at t - a = j h
+        assert main(["verify", *args]) == 0
+        report = capsys.readouterr().out
+        assert main(["verify", *args[:-2]]) == 0
         assert capsys.readouterr().out == report
 
     def test_mismatching_window_exit_2(self, capsys):

@@ -33,6 +33,7 @@ from fracrelax.riemann_liouville import (
     rl_integral_numeric,
 )
 from fracrelax.verification import run_verification
+from fracrelax.volterra import OracleConfig, solve_volterra
 
 # high-precision brute-force values, frozen from 50-digit summation
 GAMMA_HALF_E_HALF_HALF_M1 = 0.24212784385868789  # Gamma(0.5) E[0.5,0.5](-1)
@@ -216,12 +217,14 @@ class TestNeumannCurve:
     @pytest.mark.parametrize("M", [0, 1, 30])
     @pytest.mark.parametrize("problem", PROBLEMS, ids=str)
     def test_matches_per_node_sum(self, problem, M):
+        # node j sits at t - a = j h, which the a = 0 twin takes at t = j h
+        twin = replace(problem, a=0.0)
         grid = UniformGrid.from_span(problem.a, problem.default_span(), 200)
         curve = neumann_curve(problem, grid, M)
-        for j, t in enumerate(grid.times()[1:], start=1):
-            ref, scale = self.reference(problem, t, M)
+        for j, dt in enumerate(grid.offsets()[1:], start=1):
+            ref, scale = self.reference(twin, dt, M)
             assert abs(curve.values[j] - ref) <= 4 * np.finfo(float).eps * scale
-            assert neumann_partial_sum(problem, t, M) == curve.values[j]
+            assert neumann_partial_sum(twin, dt, M) == curve.values[j]
         assert curve.singular_start == (problem.mu_eff < 1.0)
 
     def test_coefficients_once_per_curve(self, monkeypatch):
@@ -461,14 +464,16 @@ class TestRelaxationInvariant:
         (1.0, 2.0, 2.9, 0.0, 5.0 / 2.9), (0.9, 0.8, 1.0, -3.1, 5.0),
     ])
     def test_curve_matches_pointwise_solutions(self, nu, mu, c, a, span):
-        # the curve and the pointwise forms share E and the prefactor, bitwise
+        # the curve and the pointwise forms share E and the prefactor, bitwise;
+        # node j sits at t - a = j h, which the a = 0 twin takes at t = j h
         p = KineticProblem(nu=nu, c=c, N_a=1.7, a=a, mu=mu)
+        twin = replace(p, a=0.0)
         g = UniformGrid.from_span(a, span, 400)
         curve = closed_form_curve(p, g)
         solution = relaxation_solution if p.mu is None else power_source_solution
-        for t, v in zip(g.times()[1:], curve.values[1:]):
-            assert v == solution(p, t)
-            assert v == solution(p, float(t))
+        for dt, v in zip(g.offsets()[1:], curve.values[1:]):
+            assert v == solution(twin, dt)
+            assert v == solution(twin, float(dt))
 
 
 # (nu, mu, c, a): plain and power-source curves in every evaluator regime,
@@ -478,6 +483,28 @@ LADDER_PROBLEMS = [
     (1.0, None, 2.9, -3.1), (1.5, None, 1.0, 0.0), (0.7, 0.5, 1.0, 0.0),
     (0.5, 1.3, 0.37, 1.7), (1.0, 2.0, 2.9, 0.0), (0.9, 0.8, 1.0, -3.1),
 ]
+
+
+class TestWindowStart:
+    """Every curve and residual is sampled at t - a = j h, so a window that
+    starts at a gives bitwise the values of its a = 0 twin."""
+
+    @staticmethod
+    def samples(problem):
+        grid = UniformGrid.from_span(problem.a, 5.0 / problem.c, 200)
+        closed = closed_form_curve(problem, grid)
+        curves = [closed, neumann_curve(problem, grid, 30),
+                  solve_volterra(problem, OracleConfig(grid=grid)),
+                  integral_equation_residual(problem, closed)]
+        if problem.mu is None and problem.nu < 1.0:
+            curves.append(differential_equation_residual(problem, closed))
+        return [curve.values.tobytes() for curve in curves]
+
+    @pytest.mark.parametrize("a", [1.7, -3.1, 1e9])
+    @pytest.mark.parametrize("nu, mu, c", [(nu, mu, c) for nu, mu, c, _ in LADDER_PROBLEMS])
+    def test_values_equal_the_origin_twin(self, nu, mu, c, a):
+        p = KineticProblem(nu=nu, c=c, N_a=1.3, a=a, mu=mu)
+        assert self.samples(p) == self.samples(replace(p, a=0.0))
 
 
 class TestRestriction:

@@ -59,6 +59,19 @@ class TestGridTypes:
         with pytest.raises(DomainError, match="above the cap"):
             UniformGrid.from_span(0.0, 1.0, MAX_NODES + 1)
 
+    def test_grid_end_must_be_finite(self):
+        # a + n h = 2e308 passes double range, though a, h and n are valid
+        with pytest.raises(DomainError, match="grid end .* overflows double range"):
+            UniformGrid(1e308, 1e308, 1)
+        with pytest.raises(DomainError, match="grid end"):
+            UniformGrid.from_span(1e308, 1e308, 2)
+        assert UniformGrid(-1e308, 1e308, 1).times()[-1] == 0.0
+
+    def test_offsets_do_not_depend_on_the_start(self):
+        g, far = UniformGrid(0.0, 0.1, 10), UniformGrid(1e12, 0.1, 10)
+        assert far.offsets().tobytes() == g.offsets().tobytes() == g.times().tobytes()
+        assert far.times().tobytes() == (1e12 + g.offsets()).tobytes()
+
     def test_numpy_integer_step_count(self):
         g = UniformGrid.from_span(0.0, 1.0, np.int64(4))
         assert g == UniformGrid(0.0, 0.25, 4) and g.times().size == 5
@@ -163,6 +176,21 @@ class TestWeights:
                 exact_a0 = (mm - 1) ** pm - mm ** (pm - 1) * (mm - pm)
                 assert got_d2 == pytest.approx(float(exact_d2), rel=1e-12, abs=0), m
                 assert got_a0 == pytest.approx(float(exact_a0), rel=1e-12, abs=0), m
+
+    @pytest.mark.parametrize("nu", [0.05, 0.3, 0.9, 1.3, 1.95])
+    def test_weight_coefficients_near_the_start_to_an_ulp(self, nu):
+        # m = 3..7, where the literal forms once lost up to 1.9e-13
+        ms = range(3, 8)
+        p = nu + 1.0
+        d2, a0 = _binomial_tails(np.array(ms, dtype=float), p)
+        with mp.workdps(50):
+            pm = mp.mpf(p)
+            for m, got_d2, got_a0 in zip(ms, d2, a0):
+                mm = mp.mpf(m)
+                exact_d2 = (mm + 1) ** pm - 2 * mm**pm + (mm - 1) ** pm
+                exact_a0 = (mm - 1) ** pm - mm ** (pm - 1) * (mm - pm)
+                assert got_d2 == pytest.approx(float(exact_d2), rel=1e-15, abs=0), m
+                assert got_a0 == pytest.approx(float(exact_a0), rel=1e-15, abs=0), m
 
     def test_invalid_order(self):
         g = UniformGrid.from_span(0.0, 1.0, 8)
