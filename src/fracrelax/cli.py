@@ -183,6 +183,13 @@ def _parse_method(text: str):
 def _cmd_solve(args) -> int:
     problem = _problem_from_args(args)
     grid = _grid_from_args(args, problem, default_n=1000)
+    times = grid.times()
+    if not (times[1:] > times[:-1]).all():
+        # the values would be right at t - a = j h, but no row could say where
+        raise UsageError(
+            f"the t labels a + j h do not increase: h = {grid.h!r} is below the "
+            f"spacing of doubles at a = {problem.a!r}; use a smaller --a or a larger --T / --n"
+        )
     method, M = _parse_method(args.method)
     if method == "closed":
         curve = closed_form_curve(problem, grid)
@@ -196,7 +203,7 @@ def _cmd_solve(args) -> int:
     lines = ["t,N"]
     # a flagged singular start is NaN, which format_real writes as NA
     lines.extend(
-        f"{format_real(t)},{format_real(v)}" for t, v in zip(grid.times(), curve.values)
+        f"{format_real(t)},{format_real(v)}" for t, v in zip(times, curve.values)
     )
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -293,7 +293,8 @@ def _scaled_powers(
 def closed_form_curve(problem: KineticProblem, grid: UniformGrid) -> SolutionCurve:
     """Sample the closed-form solution at the grid's offsets, one E per node.
 
-    The double series passes of all nodes are summed together, in lockstep
+    The double series passes of all nodes are summed together, in lockstep,
+    and the contour takes the nodes they leave in 2-D blocks
     (``ml_eval_many``); every value is still bitwise the one
     ``relaxation_solution`` or ``power_source_solution`` returns at t - a
     = j h, whatever a is.  Node 0 is the solution's limit at t = a, that of

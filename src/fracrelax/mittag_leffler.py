@@ -20,17 +20,22 @@ relative:
 
    on the parabola s = mu (1 + iu)^2 (Weideman & Trefethen, Math. Comp. 76,
    2007), by the trapezoid rule in u.  The contour data depend only on
-   (alpha, beta, mu) and are cached, so a node costs one complex addition
-   and division per contour node.  For 1 < alpha < 2 the residues of the
+   (alpha, beta, mu) and are cached.  For 1 < alpha < 2 the residues of the
    poles s^alpha = -x outside the contour are added (Garrappa, SIAM J.
-   Numer. Anal. 53, 2015).  The certificate is the rounding of the sum and
-   the poles' discretisation error; it fails next to a zero of E (e.g.
-   E[0.7, 0.5] at x = 1.6535) and where E is exponentially small
-   (alpha = beta = 1 beyond x ~ 8).  The far form splits m <= _MAX_TERMS
-   algebraic terms off exactly; the contour evaluates only the remainder
-   z^-m E[alpha, beta - m alpha](z), whose error x^-m scales.  m >= 2 past
-   x = 10 alpha, and on the whole axis the remainder has beta - alpha < 3.
-   Where all of it underflows, a log-space bound below 2^-1075 certifies 0.0.
+   Numer. Anal. 53, 2015), per node in scalar math.  The certificate is the
+   rounding of the sum and the poles' discretisation error; it fails next
+   to a zero of E (e.g. E[0.7, 0.5] at x = 1.6535) and where E is
+   exponentially small (alpha = beta = 1 beyond x ~ 8).  The far form
+   splits m <= _MAX_TERMS algebraic terms off exactly; the contour
+   evaluates only the remainder z^-m E[alpha, beta - m alpha](z), whose
+   error x^-m scales.  m >= 2 past x = 10 alpha, and on the whole axis the
+   remainder has beta - alpha < 3.  Where all of it underflows, a
+   log-space bound below 2^-1075 certifies 0.0.  ``ml_eval_many`` takes
+   every node of a curve that no double pass certifies to the contour
+   together: the nodes that share mu form one 2-D complex addition and
+   division, a block of rows at a time, and the head terms and the
+   certificate are array operations.  Each row has the bits of a node
+   evaluated alone, which is the one-row case of the same code.
 3. mpmath series, for the few nodes neither regime certifies (for
    z < -10 alpha and alpha < 2 the double pass is not tried).  The working
    precision is sized to the cancellation, from the double pass or from
@@ -96,6 +101,11 @@ _CONTOUR_ROUNDING = 4.0 * _EPS
 # it: 1/math.gamma errs by <= 4.4 eps on 60 003 points of [-4, 170], 1/x^k
 # and the product add ~3 eps.
 _HEAD_ROUNDING = 8.0 * _EPS
+# Rows of one 2-D contour division (at 136 nodes ~70 KB, plus as much for
+# numpy's broadcast buffer); and the nodes of a curve whose contour values
+# are formed and held at once.  More of either raises the peak memory.
+_CONTOUR_ROWS = 32
+_CURVE_BLOCK = 512
 
 
 class _LazyMpmath:
@@ -331,8 +341,17 @@ def _near(params: MLParams, z):
     return (params.alpha >= 2.0) | (z >= -10.0 * params.alpha)
 
 
+def _certifies(res, k: int, max_mag: float) -> bool:
+    """The double pass's rounding certificate, on a ``_sum_double`` tuple:
+    additions cost ~eps * max partial sum, the term recurrence another
+    ~eps * k/2 relative per term, and that must stay below _TARGET_REL of
+    a value that is not None (a power overflowed) or 0."""
+    est = _EPS * (4.0 + 2.0 * math.sqrt(k)) * max(max_mag, 1.0)
+    return res is not None and res != 0.0 and est <= _TARGET_REL * abs(res)
+
+
 def _series_double(params: MLParams, z: float, summed=None):
-    """Double pass with its rounding certificate.
+    """Double pass with its rounding certificate, ``_certifies``.
 
     ``summed`` is the pass's ``_sum_double`` tuple where a curve's passes
     were summed together, else None.  Returns (value, terms_used,
@@ -348,10 +367,7 @@ def _series_double(params: MLParams, z: float, summed=None):
     res, k, max_mag = summed or _sum_double(params, z)
     if res is None:
         return None, k, None
-    # Rounding estimate: additions cost ~eps * max partial sum, the term
-    # recurrence another ~eps * k/2 relative per term.
-    est = _EPS * (4.0 + 2.0 * math.sqrt(k)) * max(max_mag, 1.0)
-    if res != 0.0 and est <= _TARGET_REL * abs(res):
+    if _certifies(res, k, max_mag):
         return res, k, 0.0
     lost = math.log10(max(max_mag, 1.0) / abs(res)) if res != 0.0 else 17.0
     return None, k, lost
@@ -405,45 +421,77 @@ def _contour_nodes(alpha: float, beta: float, mu: float):
     return c, e
 
 
-def _contour(alpha: float, beta: float, x: float):
-    """E[alpha, beta](-x), x > 0, alpha < 2, on the parabolic contour.
+def _pole_terms(alpha: float, beta: float, x: float):
+    """(mu, residue, residue_scale, disc) of the contour at x, for 1 < alpha < 2.
 
-    Returns (value, absolute error bound, contour nodes); beta may be any
-    real, as in the far form's remainder.  The bound counts rounding, not
-    the discretisation error, which grows with beta - alpha: callers keep
-    beta - alpha <= _FAR_MAX_EXCESS.  For 1 < alpha < 2 the poles at
-    s_p = x^(1/alpha) e^(+-i pi/alpha) sit at Im u = 1 - c sqrt(|s_p|/mu),
-    c = cos(pi/(2 alpha)); where that is within _POLE_MARGIN of 0, mu is
-    lowered by factors of sqrt(2) until the poles lie at least the margin
-    outside the contour.
+    The poles at s_p = x^(1/alpha) e^(+-i pi/alpha) sit at
+    Im u = 1 - c sqrt(|s_p|/mu), c = cos(pi/(2 alpha)); where that is within
+    _POLE_MARGIN of 0, mu is lowered by factors of sqrt(2) until the poles
+    lie at least the margin outside the contour.  Scalar math: np.cos and
+    np.exp may differ from libm by an ulp.
     """
     mu = _CONTOUR_MU
-    residue = residue_scale = disc = 0.0
+    residue = residue_scale = 0.0
+    r = x ** (1.0 / alpha)
+    c = math.cos(0.5 * math.pi / alpha)
+    if abs(c * math.sqrt(r / mu) - 1.0) < _POLE_MARGIN:
+        # largest mu_0 2^(-l/2) with c sqrt(r/mu) >= 1 + margin
+        wanted = r * (c / (1.0 + _POLE_MARGIN)) ** 2
+        level = math.ceil(2.0 * math.log2(_CONTOUR_MU / wanted))
+        mu = _CONTOUR_MU * 2.0 ** (-0.5 * level)
+    dist = 1.0 - c * math.sqrt(r / mu)
+    theta = math.pi / alpha
+    # e^(r cos theta) underflows to 0 long before r^(1 - beta) overflows
+    decay = math.exp(r * math.cos(theta))
+    size = (2.0 / alpha) * decay * r ** (1.0 - beta) if decay else 0.0
+    if dist < 0.0:
+        residue = size * math.cos(r * math.sin(theta) + (1.0 - beta) * theta)
+        # e^(r cos theta) and the phase carry ~r eps of rounding each
+        residue_scale = size * (1.0 + r)
+    damp = math.exp(-2.0 * math.pi * abs(dist) / _CONTOUR_STEP)
+    return mu, residue, residue_scale, size * damp / (1.0 - damp)
+
+
+def _contour(alpha: float, beta: float, x):
+    """E[alpha, beta](-x), x > 0, alpha < 2, on the parabolic contour.
+
+    Returns (value, absolute error bound, contour nodes): floats and an int
+    for a float x, arrays for an array of x.  beta may be any real, as in
+    the far form's remainder.  The bound counts rounding, not the
+    discretisation error, which grows with beta - alpha: callers keep
+    beta - alpha <= _FAR_MAX_EXCESS.  For 1 < alpha < 2 the poles' residues
+    and scale come from ``_pole_terms``, per x.  The x that share mu share
+    one 2-D division c / (e + x), _CONTOUR_ROWS rows at a time; numpy sums
+    each row pairwise, as it sums a 1-D array, so every x gets the bits of
+    a call of its own, and a float x is the one-row case.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    n = xs.size
     if alpha > 1.0:
-        r = x ** (1.0 / alpha)
-        c = math.cos(0.5 * math.pi / alpha)
-        if abs(c * math.sqrt(r / mu) - 1.0) < _POLE_MARGIN:
-            # largest mu_0 2^(-l/2) with c sqrt(r/mu) >= 1 + margin
-            wanted = r * (c / (1.0 + _POLE_MARGIN)) ** 2
-            level = math.ceil(2.0 * math.log2(_CONTOUR_MU / wanted))
-            mu = _CONTOUR_MU * 2.0 ** (-0.5 * level)
-        dist = 1.0 - c * math.sqrt(r / mu)
-        theta = math.pi / alpha
-        # e^(r cos theta) underflows to 0 long before r^(1 - beta) overflows
-        decay = math.exp(r * math.cos(theta))
-        size = (2.0 / alpha) * decay * r ** (1.0 - beta) if decay else 0.0
-        if dist < 0.0:
-            residue = size * math.cos(r * math.sin(theta) + (1.0 - beta) * theta)
-            # e^(r cos theta) and the phase carry ~r eps of rounding each
-            residue_scale = size * (1.0 + r)
-        damp = math.exp(-2.0 * math.pi * abs(dist) / _CONTOUR_STEP)
-        disc = size * damp / (1.0 - damp)
-    c, e = _contour_nodes(alpha, beta, mu)
-    q = e + x
-    t = np.divide(c, q, out=q).imag
-    value = float(t.sum()) + residue
-    err = _CONTOUR_ROUNDING * (float(np.abs(t).sum()) + residue_scale) + disc
-    return value, err, t.size
+        mus, residue, residue_scale, disc = np.array(
+            [_pole_terms(alpha, beta, xj) for xj in xs.tolist()]).reshape(n, 4).T
+    else:
+        mus, residue, residue_scale, disc = np.full(n, _CONTOUR_MU), 0.0, 0.0, 0.0
+    total, scale = np.empty(n), np.empty(n)
+    nodes = np.empty(n, dtype=int)
+    for mu in set(mus.tolist()):
+        at = np.flatnonzero(mus == mu)
+        c, e = _contour_nodes(alpha, beta, mu)
+        nodes[at] = c.size
+        q = np.empty((min(at.size, _CONTOUR_ROWS), c.size), dtype=complex)
+        for lo in range(0, at.size, _CONTOUR_ROWS):
+            rows = at[lo:lo + _CONTOUR_ROWS]
+            block = q[:rows.size]
+            block[...] = e  # then one broadcast operand per ufunc, one buffer
+            block += xs[rows, None]
+            t = np.divide(c, block, out=block).imag
+            total[rows] = t.sum(axis=1)
+            scale[rows] = np.abs(t).sum(axis=1)
+    value = total + residue
+    err = _CONTOUR_ROUNDING * (scale + residue_scale) + disc
+    if np.ndim(x) == 0:
+        return float(value[0]), float(err[0]), int(nodes[0])
+    return value, err, nodes
 
 
 @lru_cache(maxsize=64)
@@ -477,68 +525,98 @@ def _far_terms(
     return tuple(coeffs), tuple(logs), float(Fraction(beta) - m * Fraction(alpha))
 
 
-def _quadrature(params: MLParams, z: float):
-    """The certified contour value at z, as (MLResult or None, lost).
+def _quadrature(params: MLParams, z):
+    """The certified contour value at z < 0, as (MLResult or None, lost);
+    for an array z, a list of such pairs.
 
     For m > 0, E[a, b](z) = 1/Gamma(b) + z E[a, a + b](z) applied m times:
 
         E[a, b](z) = z^-m E[a, b - m a](z) - sum_{k=1..m} z^-k / Gamma(b - a k);
 
     the contour's error enters times x^-m, plus _HEAD_ROUNDING of each head
-    term and 2 eps of the tail.  Where the heads' magnitudes plus
-    x^-m (|tail| + error), summed in logs, stay below 2^-1075, E rounds to
-    0.0 and that is certified, though every term underflowed.  An
-    uncertified value yields None, with the digits the series cancels by
-    (from its peak term and the contour's value) in ``lost``: next to a zero
-    of E the double pass's value is rounding noise, while the contour's
-    still has the right magnitude.
+    term and 2 eps of the tail.  m is one number on each side of
+    x = 10 alpha, so each side takes one ``_far_form`` call.  Where the
+    heads' magnitudes plus x^-m (|tail| + error), summed in logs, stay
+    below 2^-1075, E rounds to 0.0 and that is certified, though every term
+    underflowed.  An uncertified value yields None, with the digits the
+    series cancels by (from its peak term and the contour's value) in
+    ``lost``: next to a zero of E the double pass's value is rounding
+    noise, while the contour's still has the right magnitude.
     """
-    alpha, beta, x = params.alpha, params.beta, -z
-    steps = min(max((beta - _FAR_MAX_EXCESS) / alpha, 0.0), _MAX_TERMS + 1.0)
-    m = max(_FAR_TERMS if x > 10.0 * alpha else 0, math.floor(steps))
-    if not (x > 0.0 and alpha < 2.0 and m <= _MAX_TERMS):
-        return None, None
-    if m == 0:
-        value, err, nodes = _contour(alpha, beta, x)
-    else:
-        coeffs, logs, shifted = _far_terms(alpha, beta, m)
-        zi, zk, value, heads = -1.0 / x, 1.0, 0.0, 0.0
-        for coeff in coeffs:
-            zk *= zi
-            term = -zk * coeff
-            value += term
-            heads += abs(term)
-        tail, tail_err, nodes = _contour(alpha, shifted, x)
-        value += tail * zk
-        err = (tail_err + 2.0 * _EPS * abs(tail)) * abs(zk) + _HEAD_ROUNDING * heads
-    if value != 0.0 and math.isfinite(value) and err / abs(value) <= _TARGET_REL:
-        return MLResult(value, "contour", nodes), None
-    if m > 0:
-        lx = math.log(x)
-        bound = np.logaddexp.reduce([lc - k * lx for k, lc in enumerate(logs, 1)]
-                                    + [math.log(abs(tail) + tail_err) - m * lx])
-        if bound < -1075.0 * math.log(2.0):
-            return MLResult(0.0, "contour", nodes), None
-    if value == 0.0 or not math.isfinite(value):  # inf: x^-m overflowed
-        return None, None
-    return None, _peak_digits(params, z) - math.log10(abs(value))
+    alpha, beta = params.alpha, params.beta
+    x = -np.atleast_1d(np.asarray(z, dtype=float))
+    out = [(None, None)] * x.size
+    least = math.floor(min(max((beta - _FAR_MAX_EXCESS) / alpha, 0.0), _MAX_TERMS + 1.0))
+    if alpha < 2.0 and least <= _MAX_TERMS:
+        far = x > 10.0 * alpha
+        for m, at in ((least, np.flatnonzero((x > 0.0) & ~far)),
+                      (max(_FAR_TERMS, least), np.flatnonzero(far))):
+            if at.size:
+                for j, pair in zip(at.tolist(), _far_form(params, m, x[at])):
+                    out[j] = pair
+    return out[0] if np.ndim(z) == 0 else out
+
+
+def _far_form(params: MLParams, m: int, x: np.ndarray) -> list:
+    """``_quadrature``'s pairs at an array of x > 0 that share m, the number
+    of head terms split off (0: the contour alone).  The heads and the
+    certificate are array operations in the order of the loop over one x;
+    the two bounds are per node, for the nodes left uncertified."""
+    alpha, beta = params.alpha, params.beta
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if m == 0:
+            value, err, nodes = _contour(alpha, beta, x)
+        else:
+            coeffs, logs, shifted = _far_terms(alpha, beta, m)
+            zi, zk, value, heads = -1.0 / x, 1.0, 0.0, 0.0  # arrays from term 1 on
+            for coeff in coeffs:
+                zk = zk * zi
+                term = -zk * coeff
+                value = value + term
+                heads = heads + np.abs(term)
+            tail, tail_err, nodes = _contour(alpha, shifted, x)
+            value = value + tail * zk
+            err = (tail_err + 2.0 * _EPS * np.abs(tail)) * np.abs(zk) + _HEAD_ROUNDING * heads
+        # a value of 0 makes the ratio inf or nan, which fails the test
+        certified = np.isfinite(value) & (err / np.abs(value) <= _TARGET_REL)
+    out = []
+    for i, (ok, v, xi, count) in enumerate(zip(certified.tolist(), value.tolist(),
+                                               x.tolist(), nodes.tolist())):
+        if ok:
+            out.append((MLResult(v, "contour", count), None))
+            continue
+        if m > 0:
+            lx = math.log(xi)
+            bound = np.logaddexp.reduce([lc - k * lx for k, lc in enumerate(logs, 1)]
+                                        + [math.log(abs(float(tail[i])) + float(tail_err[i]))
+                                           - m * lx])
+            if bound < -1075.0 * math.log(2.0):
+                out.append((MLResult(0.0, "contour", count), None))
+                continue
+        if v == 0.0 or not math.isfinite(v):  # inf: x^-m overflowed
+            out.append((None, None))
+        else:
+            out.append((None, _peak_digits(params, -xi) - math.log10(abs(v))))
+    return out
 
 
 def ml_eval_detailed(params: MLParams, z: float, summed=None) -> MLResult:
     """Evaluate E[alpha, beta](z) and report the regime and terms used.
 
-    ``summed`` is the double pass at z, already summed by ``ml_eval_many``,
-    or None.
+    ``summed`` is what ``ml_eval_many`` already summed at z, or None: a
+    pair of the double pass (a ``_sum_double`` tuple) and the contour (a
+    ``_quadrature`` pair), either of them None where it was not summed.
     """
     z = float(z)  # a numpy scalar would slow every term of the double pass
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
+    summed_pass, summed_quad = summed or (None, None)
     lost = None  # digits the double pass saw cancel
     if _near(params, z):
-        value, terms, lost = _series_double(params, z, summed)
+        value, terms, lost = _series_double(params, z, summed_pass)
         if value is not None:
             return MLResult(value, "series", terms)
-    quad, quad_lost = _quadrature(params, z)
+    quad, quad_lost = summed_quad or _quadrature(params, z)
     if quad is not None:
         return quad
     if quad_lost is None:
@@ -552,18 +630,31 @@ def ml_eval(params: MLParams, z: float) -> float:
 
 
 def ml_eval_many(params: MLParams, zs) -> np.ndarray:
-    """``ml_eval`` at each z of ``zs``, bitwise, with the double passes of
-    all nodes where ``_near`` tries one summed in lockstep.
+    """``ml_eval`` at each z of ``zs``, bitwise, a curve's work done together.
 
-    Each node then goes through ``ml_eval_detailed``, which picks its
-    regime; a lone near node keeps the scalar pass, which costs less than
-    a lockstep kernel of one.
+    The double passes of all nodes where ``_near`` tries one are summed in
+    lockstep; a lone near node keeps the scalar pass, which costs less than
+    a lockstep kernel of one.  The nodes that no pass certifies, by
+    ``_certifies``, then take one ``_quadrature`` call per _CURVE_BLOCK
+    nodes, whose contour divisions are 2-D.  Each node still goes through
+    ``ml_eval_detailed``, with its sums, which picks its regime.
     """
     z = np.array(zs, dtype=float)
-    near = np.isfinite(z) & _near(params, z)
-    summed = [None] * z.size
-    if np.count_nonzero(near) > 1:
-        for j, sums in zip(np.flatnonzero(near), _sum_double_many(params, z[near])):
-            summed[j] = sums
-    return np.array([ml_eval_detailed(params, zj, sj).value
-                     for zj, sj in zip(z.tolist(), summed)])
+    finite = np.isfinite(z)
+    near = np.flatnonzero(finite & _near(params, z))
+    passes = [None] * z.size
+    certified = np.zeros(z.size, dtype=bool)
+    if near.size > 1:
+        for j, sums in zip(near, _sum_double_many(params, z[near])):
+            passes[j] = sums
+            certified[j] = sums is not None and _certifies(*sums)
+    tried = finite & ~certified  # the nodes that reach _quadrature
+    values = np.empty(z.size)
+    quads: dict = {}
+    for lo in range(0, z.size, _CURVE_BLOCK):
+        quads.clear()  # the last block's, before this block's are formed
+        at = lo + np.flatnonzero(tried[lo:lo + _CURVE_BLOCK])
+        quads.update(zip(at.tolist(), _quadrature(params, z[at])))
+        for j, zj in enumerate(z[lo:lo + _CURVE_BLOCK].tolist(), lo):
+            values[j] = ml_eval_detailed(params, zj, (passes[j], quads.get(j))).value
+    return values

@@ -20,7 +20,8 @@ The weights are h^nu / Gamma(nu+2) times second differences of m^p,
 p = nu + 1, and in column 0 times (m-1)^p - m^(p-1) (m - p) (Diethelm, Ford
 & Freed, Numer. Algorithms 36, 2004).  Formed literally these lose about
 2 log10(m) and log10(m) digits; for m >= 3 both come from the even and odd
-parts of one binomial series in 1/m instead, keeping the row-sum identity
+parts of one binomial series in 1/m instead, and for m = 1, 2 at p < 2 from
+power series in p - 1 with positive terms, keeping the row-sum identity
 sum_k w[j,k] = (t_j - a)^nu / Gamma(nu+1) at machine precision even on
 long grids.
 
@@ -51,7 +52,8 @@ __all__ = [
 ]
 
 # From this index on the series in 1/m meets a few ulp in its 13 terms; at
-# m = 1 and 2 it converges too slowly, and the literal forms are used.
+# m = 1 and 2 it converges too slowly, and ``_start_tails`` (p < 2) or the
+# literal forms serve them.
 _SERIES_CUT = 3
 
 
@@ -143,9 +145,13 @@ def _binomial_tails(m: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     """
     d2, a0 = np.empty_like(m), np.empty_like(m)
     small = m < _SERIES_CUT
-    ms = m[small]
-    d2[small] = (ms + 1.0) ** p - 2.0 * ms**p + (ms - 1.0) ** p
-    a0[small] = (ms - 1.0) ** p - ms ** (p - 1.0) * (ms - p)
+    if p < 2.0:
+        for j, (d2_j, a0_j) in enumerate(_start_tails(p), 1):
+            d2[m == j], a0[m == j] = d2_j, a0_j
+    else:  # the literal forms cancel at most ~9:1, and are exact at p = 2
+        ms = m[small]
+        d2[small] = (ms + 1.0) ** p - 2.0 * ms**p + (ms - 1.0) ** p
+        a0[small] = (ms - 1.0) ** p - ms ** (p - 1.0) * (ms - p)
     mb = m[~small]
     x2 = 1.0 / (mb * mb)
     c = p * (p - 1.0) / 2.0  # C(p, 2i); even and odd / m are T's parts over x^2
@@ -159,6 +165,32 @@ def _binomial_tails(m: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     d2[~small] = 2.0 * even * scale
     a0[~small] = (even - odd / mb) * scale
     return d2, a0
+
+
+def _start_tails(p: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(d2, a0) of ``_binomial_tails`` at m = 1 and at m = 2, for 1 < p < 2.
+
+    With q = p - 1, exact: d2(1) = 2^p - 2 = 2 expm1(q ln 2), a0(1) = q,
+
+        d2(2) = 3^p - 2^(p+1) + 1 = q ln(27/16) + sum_{k>=2} (3 ln3^k - 4 ln2^k) q^k / k!,
+        a0(2) = 1 - 2^q (1 - q)   = sum_{k>=1} (1 - ln2 / k) ln2^(k-1) q^k / (k-1)!,
+
+    power series whose terms are all positive, so that fsum keeps them to a
+    few ulp, where the literal forms cancel ~8/(0.52 q) and ~3/(0.31 q) of
+    their operands (6.9e-14 off at p = 1.01).  A term that rises is the
+    largest so far, so the loop stops only past the terms' peak.
+    """
+    q = p - 1.0
+    l2, l3 = math.log(2.0), math.log(3.0)
+    d2, a0 = [q * math.log(27.0 / 16.0)], [(1.0 - l2) * q]
+    u, v = q * l3, q * l2  # (q ln3)^k / k! and (q ln2)^k / k!, at k = 1
+    k = 1
+    while 3.0 * u > 1e-17 * sum(d2) or q * v > 1e-17 * sum(a0):
+        k += 1
+        a0.append((1.0 - l2 / k) * q * v)
+        u, v = u * (q * l3) / k, v * (q * l2) / k
+        d2.append(3.0 * u - 4.0 * v)
+    return (2.0 * math.expm1(q * l2), q), (math.fsum(d2), math.fsum(a0))
 
 
 def _backward_diff_pow(m: np.ndarray, q: float) -> np.ndarray:

@@ -218,6 +218,25 @@ class TestSolveCommand:
         assert "overflows double range" in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    def test_collapsed_t_labels_exit_2(self, capsys):
+        # h = 1.25 is below the spacing of doubles at 1e17 (16): every row
+        # would be labelled t = 1e17, with five different N
+        assert main(["solve", "--nu", "0.5", "--c", "1", "--a", "1e17", "--n", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the t labels a + j h do not increase")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_far_window_start_still_prints(self, capsys):
+        args = ["solve", "--nu", "0.5", "--c", "1", "--n", "4"]
+        assert main([*args, "--a", "1e9"]) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert main(args) == 0
+        _, origin = parse_csv(capsys.readouterr().out)
+        ts = [float(t) for t, _ in rows]
+        assert ts == [1e9 + 1.25 * j for j in range(5)]
+        assert [n for _, n in rows] == [n for _, n in origin]
+
     def test_tiny_density_still_reaches_the_step_check(self, capsys):
         args = ["--nu", "1", "--c", "1e200", "--T", "1e200", "--Na", "1e-300"]
         assert main(["solve", *args, "--n", "2", "--method", "oracle"]) == 2

@@ -10,7 +10,7 @@ from scipy.special import erfc, erfcx
 
 from conftest import ml_reference, ml_reference_negative
 import fracrelax
-from fracrelax import mittag_leffler
+from fracrelax import kinetics, mittag_leffler
 from fracrelax.gammafn import reciprocal_gamma
 from fracrelax.grids import UniformGrid
 from fracrelax.kinetics import KineticProblem, closed_form_curve
@@ -557,6 +557,100 @@ class TestLockstepPasses:
         zs = [-0.5, -20.0, -30.0]
         assert mittag_leffler.ml_eval_many(params, zs).tolist() == [
             ml_eval(params, z) for z in zs]
+
+
+# The closed-form curves of the benchmark: (nu, mu or None, window in 1/c),
+# c = 1, 2000 nodes; the last one is the curve of the known fault.
+BENCH_CURVES = ([(nu, None, span) for span in (5.0, 40.0) for nu in (0.3, 0.7, 0.9)]
+                + [(0.5, None, 400.0), (0.7, 0.5, 5.0), (0.5, 0.7, 5.0), (0.7, 1.5, 5.0),
+                   (0.5, 1.3, 5.0), (0.5, None, 5.0), (1.0, None, 5.0), (0.5, 0.5, 5.0),
+                   (1.0, 2.0, 5.0), (0.48091570891331814, None, 5.0)])
+
+
+class TestBatchedContour:
+    """``_contour`` and ``_quadrature`` on an array of x give every x the
+    bits of its own call, the one-row case of the same kernel; and a row
+    sums as a 1-D division of its own would."""
+
+    @staticmethod
+    def one_dimensional(alpha, beta, x):
+        # the contour at one x as one 1-D division and two 1-D sums
+        mu, residue, residue_scale, disc = (
+            mittag_leffler._pole_terms(alpha, beta, x) if alpha > 1.0
+            else (mittag_leffler._CONTOUR_MU, 0.0, 0.0, 0.0))
+        c, e = mittag_leffler._contour_nodes(alpha, beta, mu)
+        t = (c / (e + x)).imag
+        err = mittag_leffler._CONTOUR_ROUNDING * (float(np.abs(t).sum()) + residue_scale)
+        return float(t.sum()) + residue, err + disc, t.size
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9, 1.0, 1.2, 1.5, 1.8, 1.99])
+    def test_rows_equal_single_calls(self, alpha):
+        # 203 rows, not a multiple of the 2-D block; for alpha > 1 the poles
+        # cross the contour in this range, where mu is lowered
+        xs = np.geomspace(1e-3, 10.0 * alpha, 203)
+        for beta in sorted({alpha, 1.0, alpha + 0.5, alpha - 2.0}):
+            value, err, nodes = mittag_leffler._contour(alpha, beta, xs)
+            singles = [mittag_leffler._contour(alpha, beta, x) for x in xs.tolist()]
+            assert list(zip(value.tolist(), err.tolist(), nodes.tolist())) == singles
+            assert singles == [self.one_dimensional(alpha, beta, x) for x in xs.tolist()]
+            assert (len(set(nodes.tolist())) > 1) == (alpha > 1.0)
+
+    def test_one_row(self):
+        for alpha, beta, x in [(0.5, 1.0, 3.0), (1.5, 1.0, 1.0), (1.99, 0.5, 0.3)]:
+            value, err, nodes = mittag_leffler._contour(alpha, beta, np.array([x]))
+            assert (value[0], err[0], nodes[0]) == mittag_leffler._contour(alpha, beta, x)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (0.1, 1.0), (0.3, 1.0), (0.7, 0.5), (1.0, 1.0), (1.5, 1.0), (1.99, 2.0),
+        (0.5, 6.0),  # beta - alpha > 3: heads split off on the whole axis
+        (0.9, 30.0), (0.3, 200.0)])
+    def test_quadrature_rows_equal_single_calls(self, alpha, beta):
+        # both sides of x = 10 alpha, where m rises to 2 (or stays larger)
+        params = MLParams(alpha, beta)
+        zs = np.append(-np.geomspace(1e-2, 1e4, 301), [-1000.0, 0.0, 2.0])
+        many = mittag_leffler._quadrature(params, zs)
+        assert many == [mittag_leffler._quadrature(params, z) for z in zs.tolist()]
+        assert many[-2:] == [(None, None), (None, None)]  # z >= 0 is not its regime
+        assert sum(res is not None for res, _ in many) > 100
+
+    def test_underflow_to_zero_is_certified(self):
+        params = MLParams(0.3, 200.0)
+        res, lost = mittag_leffler._quadrature(params, np.array([-1000.0]))[0]
+        assert res.value == 0.0 and res.regime == "contour" and lost is None
+        assert (res, lost) == mittag_leffler._quadrature(params, -1000.0)
+
+    def test_each_node_passes_the_detailed_evaluator_once(self, monkeypatch):
+        seen = []
+        real = mittag_leffler.ml_eval_detailed
+
+        def spy(params, z, summed=None):
+            seen.append(z)
+            return real(params, z, summed)
+
+        monkeypatch.setattr(mittag_leffler, "ml_eval_detailed", spy)
+        # 1100 nodes, past two 512-node blocks; then a one-node curve
+        for params, zs in [(MLParams(0.7), -np.linspace(0.01, 60.0, 1100)),
+                           (MLParams(0.7), np.array([-25.0]))]:
+            seen.clear()
+            values = mittag_leffler.ml_eval_many(params, zs)
+            assert seen == zs.tolist()
+            assert values.tolist() == [real(params, z).value for z in zs.tolist()]
+
+    def test_benchmark_curves_equal_the_pointwise_values(self, monkeypatch):
+        args = []
+        real = kinetics.ml_eval_many
+
+        def spy(params, zs):
+            args.append((params, list(zs)))
+            return real(params, zs)
+
+        monkeypatch.setattr(kinetics, "ml_eval_many", spy)
+        for nu, mu, span in BENCH_CURVES:
+            p = KineticProblem(nu=nu, c=1.0, N_a=1.0, mu=mu)
+            closed_form_curve(p, UniformGrid.from_span(0.0, span, 2000))
+        assert len(args) == 16
+        for params, zs in args:
+            assert real(params, zs).tolist() == [ml_eval(params, z) for z in zs]
 
 
 class TestCompletelyMonotoneRange:
