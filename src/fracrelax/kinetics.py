@@ -65,6 +65,8 @@ METHOD_TAGS = ("closed_form", "neumann", "oracle")
 # Relative rise allowed between neighbouring values of a decreasing curve,
 # twice the Mittag-Leffler accuracy target.
 _MONOTONE_SLACK = 2e-13
+# Exponent of the remainder that ``auto_peel_depth`` peels the forcing to.
+_PEEL_TARGET = 1.0
 
 
 class RelaxationInvariantError(ArithmeticError):
@@ -293,11 +295,11 @@ def _scaled_powers(
 def closed_form_curve(problem: KineticProblem, grid: UniformGrid) -> SolutionCurve:
     """Sample the closed-form solution at the grid's offsets, one E per node.
 
-    The double series passes of all nodes are summed together, in lockstep,
-    and the contour takes the nodes they leave in 2-D blocks
-    (``ml_eval_many``); every value is still bitwise the one
-    ``relaxation_solution`` or ``power_source_solution`` returns at t - a
-    = j h, whatever a is.  Node 0 is the solution's limit at t = a, that of
+    ``ml_eval_many`` stages the curve's E values once: the double passes
+    in lockstep, the contour for the nodes they leave in 2-D blocks.  A
+    lone value is the one-node case of the same staging, so every value is
+    bitwise the one ``relaxation_solution`` or ``power_source_solution``
+    returns at t - a = j h, whatever a is.  Node 0 is the solution's limit at t = a, that of
     Neumann term 0: the later terms vanish there, or term 0 diverges.  Plain
     curves with 0 < nu <= 1 are checked against the relaxation invariant.
     """
@@ -339,17 +341,17 @@ def neumann_curve(problem: KineticProblem, grid: UniformGrid, M: int) -> Solutio
                           "neumann")
 
 
-def auto_peel_depth(problem: KineticProblem, target_exponent: float = 1.0) -> int:
+def auto_peel_depth(problem: KineticProblem) -> int:
     """Number of Neumann terms to handle analytically in discretizations.
 
-    Smallest m0 with m0*nu + mu_eff - 1 >= target_exponent, capped at 12.
+    Smallest m0 with m0*nu + mu_eff - 1 >= _PEEL_TARGET, capped at 12.
     After removing these terms the remainder has a bounded, Lipschitz-scale
     derivative, so piecewise-linear quadrature keeps its accuracy; with no
     peel, a forcing exponent below 0 (mu < 1) is not even representable on
     the grid.
     """
     m0 = 0
-    while m0 * problem.nu + problem.mu_eff - 1.0 < target_exponent and m0 < 12:
+    while m0 * problem.nu + problem.mu_eff - 1.0 < _PEEL_TARGET and m0 < 12:
         m0 += 1
     return m0
 

@@ -11,9 +11,7 @@ relative:
    Kahan-compensated double-precision summation, kept wherever its rounding
    estimate (largest partial sum and term count) certifies, because there
    it is accurate to a few ulp, which the Neumann-envelope checks at
-   |z| <= 1 rely on.  Every such node sums its pass first.  ``ml_eval_many``
-   sums a curve's passes in lockstep, one numpy step per term for all of
-   its nodes, with bitwise the scalar pass's results.
+   |z| <= 1 rely on.
 2. Contour, for z = -x < 0 and alpha < 2: the Bromwich integral
 
        E[alpha, beta](-x) = 1/(2 pi i) int_C e^s s^(alpha-beta)/(s^alpha + x) ds
@@ -30,12 +28,7 @@ relative:
    evaluates only the remainder z^-m E[alpha, beta - m alpha](z), whose
    error x^-m scales.  m >= 2 past x = 10 alpha, and on the whole axis the
    remainder has beta - alpha < 3.  Where all of it underflows, a
-   log-space bound below 2^-1075 certifies 0.0.  ``ml_eval_many`` takes
-   every node of a curve that no double pass certifies to the contour
-   together: the nodes that share mu form one 2-D complex addition and
-   division, a block of rows at a time, and the head terms and the
-   certificate are array operations.  Each row has the bits of a node
-   evaluated alone, which is the one-row case of the same code.
+   log-space bound below 2^-1075 certifies 0.0.
 3. mpmath series, for the few nodes neither regime certifies (for
    z < -10 alpha and alpha < 2 the double pass is not tried).  The working
    precision is sized to the cancellation, from the double pass or from
@@ -45,6 +38,12 @@ relative:
    Past _MAX_DPS digits SeriesConvergenceError is raised.  One estimate,
    ``_peak_term``, gives that peak term and the overflow rule: for z > 0,
    E exceeds double range where its peak term or mpmath value does.
+
+One staging, ``_summed``, forms regimes 1 and 2 for a curve, and a lone
+value is the one-node curve: two or more double passes are summed in
+lockstep, and the nodes no pass certifies take the contour together, one
+2-D complex division per block of nodes that share mu.  Every node keeps
+the bits of the scalar forms; ``ml_eval_detailed`` reads its stage once.
 """
 
 from __future__ import annotations
@@ -162,20 +161,18 @@ def _series_coefficients(alpha: float, beta: float, size: int) -> tuple[float, .
 
 
 def _sum_double(params: MLParams, z: float):
-    """Kahan-compensated double pass on Python floats.
-
-    Returns (value, terms_used, max_magnitude) or (None, k, max_magnitude)
-    when a power overflowed (caller escalates or reports overflow).  The
-    coefficients come from a table of 64 4^j entries.
-    """
-    tol, max_terms = _SERIES_TOL, _MAX_TERMS
+    """Kahan-compensated double pass on Python floats: (value, terms_used,
+    max_magnitude), the value None where a power overflowed, and terms_used
+    None too where the pass did not stop within _MAX_TERMS terms.  The
+    coefficients come from a table of 64 4^j entries."""
+    tol = _SERIES_TOL
     s = comp = max_mag = abs_s = 0.0
     zk = 1.0
     grows = abs(z) > 1.0  # only then can z^k overflow
     alpha, beta = params.alpha, params.beta
     size = 64
     coeffs = _series_coefficients(alpha, beta, size)
-    for k in range(max_terms + 1):
+    for k in range(_MAX_TERMS + 1):
         if k == size:
             size *= 4
             coeffs = _series_coefficients(alpha, beta, size)
@@ -195,10 +192,7 @@ def _sum_double(params: MLParams, z: float):
         zk *= z
         if grows and math.isinf(zk):
             return None, k + 1, max_mag
-    raise SeriesConvergenceError(
-        f"series for E[{alpha}, {beta}]({z}) did not satisfy the stopping "
-        f"rule within {max_terms} terms"
-    )
+    return None, None, max_mag
 
 
 def _sum_double_many(params: MLParams, zs: np.ndarray) -> list:
@@ -207,10 +201,9 @@ def _sum_double_many(params: MLParams, zs: np.ndarray) -> list:
     Term k is one set of numpy operations over the passes still running;
     IEEE addition, multiplication and abs round as on Python floats, and
     fmax ignores a NaN as ``_sum_double``'s comparisons do, so every pass
-    returns the tuple ``_sum_double`` would.  A pass that has not stopped
-    within _MAX_TERMS terms gets None, for the scalar loop to refuse in
-    the caller's order.  Finished passes keep their buffer slots, masked,
-    until half of the slots are finished; then the live ones are compacted.
+    returns the tuple ``_sum_double`` would, (None, None, max_magnitude)
+    included.  Finished passes keep their buffer slots, masked, until half
+    of the slots are finished; then the live ones are compacted.
     """
     z = np.array(zs, dtype=float)
     n = z.size
@@ -268,6 +261,8 @@ def _sum_double_many(params: MLParams, zs: np.ndarray) -> list:
                 results[slot[j]] = (None, k + 1, float(max_mag[j]))
                 live[j] = False
                 running -= 1
+    for j in np.flatnonzero(live[:used]):  # passes that did not stop
+        results[slot[j]] = (None, None, float(max_mag[j]))
     return results
 
 
@@ -341,36 +336,14 @@ def _near(params: MLParams, z):
     return (params.alpha >= 2.0) | (z >= -10.0 * params.alpha)
 
 
-def _certifies(res, k: int, max_mag: float) -> bool:
+def _certifies(res, k, max_mag: float) -> bool:
     """The double pass's rounding certificate, on a ``_sum_double`` tuple:
     additions cost ~eps * max partial sum, the term recurrence another
     ~eps * k/2 relative per term, and that must stay below _TARGET_REL of
-    a value that is not None (a power overflowed) or 0."""
-    est = _EPS * (4.0 + 2.0 * math.sqrt(k)) * max(max_mag, 1.0)
-    return res is not None and res != 0.0 and est <= _TARGET_REL * abs(res)
-
-
-def _series_double(params: MLParams, z: float, summed=None):
-    """Double pass with its rounding certificate, ``_certifies``.
-
-    ``summed`` is the pass's ``_sum_double`` tuple where a curve's passes
-    were summed together, else None.  Returns (value, terms_used,
-    digits_lost); value is None when the pass cannot be trusted to
-    ~_TARGET_REL relative, and digits_lost then sizes the mpmath
-    re-summation, or is None where a power overflowed.  Raises
-    MLOverflowError where the peak term, and so E (for z > 0 every term is
-    positive), exceeds double range.
-    """
-    if z > 1.0 and _peak_term(params, z)[1] > 1024.0 * math.log(2.0):
-        raise MLOverflowError(
-            f"E[{params.alpha}, {params.beta}]({z}) exceeds double range")
-    res, k, max_mag = summed or _sum_double(params, z)
-    if res is None:
-        return None, k, None
-    if _certifies(res, k, max_mag):
-        return res, k, 0.0
-    lost = math.log10(max(max_mag, 1.0) / abs(res)) if res != 0.0 else 17.0
-    return None, k, lost
+    a value that is not None (the pass did not stop, or a power
+    overflowed) or 0."""
+    return (res is not None and res != 0.0
+            and _EPS * (4.0 + 2.0 * math.sqrt(k)) * max(max_mag, 1.0) <= _TARGET_REL * abs(res))
 
 
 def _series_mp(params: MLParams, z: float, lost: float) -> MLResult:
@@ -452,20 +425,17 @@ def _pole_terms(alpha: float, beta: float, x: float):
     return mu, residue, residue_scale, size * damp / (1.0 - damp)
 
 
-def _contour(alpha: float, beta: float, x):
-    """E[alpha, beta](-x), x > 0, alpha < 2, on the parabolic contour.
-
-    Returns (value, absolute error bound, contour nodes): floats and an int
-    for a float x, arrays for an array of x.  beta may be any real, as in
-    the far form's remainder.  The bound counts rounding, not the
-    discretisation error, which grows with beta - alpha: callers keep
-    beta - alpha <= _FAR_MAX_EXCESS.  For 1 < alpha < 2 the poles' residues
-    and scale come from ``_pole_terms``, per x.  The x that share mu share
-    one 2-D division c / (e + x), _CONTOUR_ROWS rows at a time; numpy sums
-    each row pairwise, as it sums a 1-D array, so every x gets the bits of
-    a call of its own, and a float x is the one-row case.
+def _contour(alpha: float, beta: float, xs: np.ndarray):
+    """E[alpha, beta](-x), alpha < 2, on the parabolic contour at each x > 0
+    of the array ``xs``: arrays of the value, its absolute error bound and
+    the contour nodes.  beta may be any real, as in the far form's
+    remainder.  The bound counts rounding, not the discretisation error,
+    which grows with beta - alpha: callers keep beta - alpha <=
+    _FAR_MAX_EXCESS.  For 1 < alpha < 2 the poles' residues and scale come
+    from ``_pole_terms``, per x.  The x that share mu share one 2-D division
+    c / (e + x), _CONTOUR_ROWS rows at a time; numpy sums each row pairwise,
+    as it sums a 1-D array, so every x gets the bits of a one-row call.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
     n = xs.size
     if alpha > 1.0:
         mus, residue, residue_scale, disc = np.array(
@@ -489,15 +459,12 @@ def _contour(alpha: float, beta: float, x):
             scale[rows] = np.abs(t).sum(axis=1)
     value = total + residue
     err = _CONTOUR_ROUNDING * (scale + residue_scale) + disc
-    if np.ndim(x) == 0:
-        return float(value[0]), float(err[0]), int(nodes[0])
     return value, err, nodes
 
 
 @lru_cache(maxsize=64)
-def _far_terms(
-    alpha: float, beta: float, m: int
-) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+def _far_terms(alpha: float, beta: float,
+               m: int) -> tuple[tuple[float, ...], tuple[float, ...], float]:
     """The far form's 1/Gamma(beta - alpha k), k = 1..m, the logs of their
     magnitudes, and beta - m alpha.
 
@@ -525,9 +492,9 @@ def _far_terms(
     return tuple(coeffs), tuple(logs), float(Fraction(beta) - m * Fraction(alpha))
 
 
-def _quadrature(params: MLParams, z):
-    """The certified contour value at z < 0, as (MLResult or None, lost);
-    for an array z, a list of such pairs.
+def _quadrature(params: MLParams, z: np.ndarray) -> list:
+    """The certified contour value at each z < 0 of the array ``z``, as a
+    list of pairs (MLResult or None, lost).
 
     For m > 0, E[a, b](z) = 1/Gamma(b) + z E[a, a + b](z) applied m times:
 
@@ -535,90 +502,120 @@ def _quadrature(params: MLParams, z):
 
     the contour's error enters times x^-m, plus _HEAD_ROUNDING of each head
     term and 2 eps of the tail.  m is one number on each side of
-    x = 10 alpha, so each side takes one ``_far_form`` call.  Where the
-    heads' magnitudes plus x^-m (|tail| + error), summed in logs, stay
-    below 2^-1075, E rounds to 0.0 and that is certified, though every term
+    x = 10 alpha, and each side's heads and certificate are array
+    operations in the order of the loop over one x.  Where the heads'
+    magnitudes plus x^-m (|tail| + error), summed in logs, stay below
+    2^-1075, E rounds to 0.0 and that is certified, though every term
     underflowed.  An uncertified value yields None, with the digits the
     series cancels by (from its peak term and the contour's value) in
     ``lost``: next to a zero of E the double pass's value is rounding
     noise, while the contour's still has the right magnitude.
     """
     alpha, beta = params.alpha, params.beta
-    x = -np.atleast_1d(np.asarray(z, dtype=float))
+    x = -z
     out = [(None, None)] * x.size
     least = math.floor(min(max((beta - _FAR_MAX_EXCESS) / alpha, 0.0), _MAX_TERMS + 1.0))
-    if alpha < 2.0 and least <= _MAX_TERMS:
-        far = x > 10.0 * alpha
-        for m, at in ((least, np.flatnonzero((x > 0.0) & ~far)),
-                      (max(_FAR_TERMS, least), np.flatnonzero(far))):
-            if at.size:
-                for j, pair in zip(at.tolist(), _far_form(params, m, x[at])):
-                    out[j] = pair
-    return out[0] if np.ndim(z) == 0 else out
-
-
-def _far_form(params: MLParams, m: int, x: np.ndarray) -> list:
-    """``_quadrature``'s pairs at an array of x > 0 that share m, the number
-    of head terms split off (0: the contour alone).  The heads and the
-    certificate are array operations in the order of the loop over one x;
-    the two bounds are per node, for the nodes left uncertified."""
-    alpha, beta = params.alpha, params.beta
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if m == 0:
-            value, err, nodes = _contour(alpha, beta, x)
-        else:
-            coeffs, logs, shifted = _far_terms(alpha, beta, m)
-            zi, zk, value, heads = -1.0 / x, 1.0, 0.0, 0.0  # arrays from term 1 on
-            for coeff in coeffs:
-                zk = zk * zi
-                term = -zk * coeff
-                value = value + term
-                heads = heads + np.abs(term)
-            tail, tail_err, nodes = _contour(alpha, shifted, x)
-            value = value + tail * zk
-            err = (tail_err + 2.0 * _EPS * np.abs(tail)) * np.abs(zk) + _HEAD_ROUNDING * heads
-        # a value of 0 makes the ratio inf or nan, which fails the test
-        certified = np.isfinite(value) & (err / np.abs(value) <= _TARGET_REL)
-    out = []
-    for i, (ok, v, xi, count) in enumerate(zip(certified.tolist(), value.tolist(),
-                                               x.tolist(), nodes.tolist())):
-        if ok:
-            out.append((MLResult(v, "contour", count), None))
+    if alpha >= 2.0 or least > _MAX_TERMS:
+        return out
+    far = x > 10.0 * alpha
+    for m, at in ((least, np.flatnonzero((x > 0.0) & ~far)),
+                  (max(_FAR_TERMS, least), np.flatnonzero(far))):
+        xm = x[at]
+        if not xm.size:
             continue
-        if m > 0:
-            lx = math.log(xi)
-            bound = np.logaddexp.reduce([lc - k * lx for k, lc in enumerate(logs, 1)]
-                                        + [math.log(abs(float(tail[i])) + float(tail_err[i]))
-                                           - m * lx])
-            if bound < -1075.0 * math.log(2.0):
-                out.append((MLResult(0.0, "contour", count), None))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if m == 0:
+                value, err, nodes = _contour(alpha, beta, xm)
+            else:
+                coeffs, logs, shifted = _far_terms(alpha, beta, m)
+                zi, zk, value, heads = -1.0 / xm, 1.0, 0.0, 0.0  # arrays from term 1 on
+                for coeff in coeffs:
+                    zk = zk * zi
+                    term = -zk * coeff
+                    value = value + term
+                    heads = heads + np.abs(term)
+                tail, tail_err, nodes = _contour(alpha, shifted, xm)
+                value = value + tail * zk
+                err = (tail_err + 2.0 * _EPS * np.abs(tail)) * np.abs(zk) + _HEAD_ROUNDING * heads
+            # a value of 0 makes the ratio inf or nan, which fails the test
+            certified = np.isfinite(value) & (err / np.abs(value) <= _TARGET_REL)
+        rows = zip(at.tolist(), certified.tolist(), value.tolist(), xm.tolist(), nodes.tolist())
+        for i, (j, ok, v, xi, count) in enumerate(rows):
+            if ok:
+                out[j] = (MLResult(v, "contour", count), None)
                 continue
-        if v == 0.0 or not math.isfinite(v):  # inf: x^-m overflowed
-            out.append((None, None))
-        else:
-            out.append((None, _peak_digits(params, -xi) - math.log10(abs(v))))
+            if m > 0:
+                lx = math.log(xi)
+                bound = np.logaddexp.reduce([lc - k * lx for k, lc in enumerate(logs, 1)]
+                                            + [math.log(abs(float(tail[i])) + float(tail_err[i]))
+                                               - m * lx])
+                if bound < -1075.0 * math.log(2.0):
+                    out[j] = (MLResult(0.0, "contour", count), None)
+                    continue
+            if v != 0.0 and math.isfinite(v):  # inf: x^-m overflowed
+                out[j] = (None, _peak_digits(params, -xi) - math.log10(abs(v)))
     return out
+
+
+def _summed(params: MLParams, z: np.ndarray):
+    """Yields (pass, certified, quad) for each z of the array ``z``, in order.
+
+    pass is the node's ``_sum_double`` tuple where ``_near`` tries one
+    (two or more in lockstep, a lone one in the scalar loop, which costs
+    less), and certified its ``_certifies`` verdict; quad is its
+    ``_quadrature`` pair where z is finite and no pass certifies, formed a
+    _CURVE_BLOCK of nodes at a time.  A part not formed is None, and no
+    refusal is raised here: ``ml_eval_detailed`` raises it at the node.
+    """
+    finite = np.isfinite(z)
+    near = np.flatnonzero(finite & _near(params, z))
+    passes = [None] * z.size
+    certified = np.zeros(z.size, dtype=bool)
+    sums = (_sum_double_many(params, z[near]) if near.size > 1
+            else [_sum_double(params, zj) for zj in z[near].tolist()])
+    for j, node_sums in zip(near.tolist(), sums):
+        passes[j], certified[j] = node_sums, _certifies(*node_sums)
+    tried = finite & ~certified
+    quads: dict = {}
+    for lo in range(0, z.size, _CURVE_BLOCK):
+        quads.clear()  # the last block's, before this block's are formed
+        at = lo + np.flatnonzero(tried[lo:lo + _CURVE_BLOCK])
+        if at.size:
+            quads.update(zip(at.tolist(), _quadrature(params, z[at])))
+        for j in range(lo, min(lo + _CURVE_BLOCK, z.size)):
+            yield passes[j], certified[j], quads.get(j)
 
 
 def ml_eval_detailed(params: MLParams, z: float, summed=None) -> MLResult:
     """Evaluate E[alpha, beta](z) and report the regime and terms used.
 
-    ``summed`` is what ``ml_eval_many`` already summed at z, or None: a
-    pair of the double pass (a ``_sum_double`` tuple) and the contour (a
-    ``_quadrature`` pair), either of them None where it was not summed.
+    ``summed`` is the node's stage from ``_summed`` (``ml_eval_many``);
+    without it z is staged as a one-node curve.  Raises MLOverflowError
+    where the peak term, and so E (every term is positive for z > 0),
+    exceeds double range, and SeriesConvergenceError where the double pass
+    did not stop.
     """
     z = float(z)  # a numpy scalar would slow every term of the double pass
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
-    summed_pass, summed_quad = summed or (None, None)
+    sums, certified, quad = summed or next(_summed(params, np.array([z])))
     lost = None  # digits the double pass saw cancel
-    if _near(params, z):
-        value, terms, lost = _series_double(params, z, summed_pass)
-        if value is not None:
+    if sums is not None:
+        if z > 1.0 and _peak_term(params, z)[1] > 1024.0 * math.log(2.0):
+            raise MLOverflowError(
+                f"E[{params.alpha}, {params.beta}]({z}) exceeds double range")
+        value, terms, max_mag = sums
+        if terms is None:
+            raise SeriesConvergenceError(
+                f"series for E[{params.alpha}, {params.beta}]({z}) did not satisfy "
+                f"the stopping rule within {_MAX_TERMS} terms")
+        if certified:
             return MLResult(value, "series", terms)
-    quad, quad_lost = summed_quad or _quadrature(params, z)
-    if quad is not None:
-        return quad
+        if value is not None:  # None: a power overflowed
+            lost = math.log10(max(max_mag, 1.0) / abs(value)) if value != 0.0 else 17.0
+    res, quad_lost = quad
+    if res is not None:
+        return res
     if quad_lost is None:
         quad_lost = _peak_digits(params, z) if lost is None else lost
     return _series_mp(params, z, quad_lost)
@@ -630,31 +627,11 @@ def ml_eval(params: MLParams, z: float) -> float:
 
 
 def ml_eval_many(params: MLParams, zs) -> np.ndarray:
-    """``ml_eval`` at each z of ``zs``, bitwise, a curve's work done together.
-
-    The double passes of all nodes where ``_near`` tries one are summed in
-    lockstep; a lone near node keeps the scalar pass, which costs less than
-    a lockstep kernel of one.  The nodes that no pass certifies, by
-    ``_certifies``, then take one ``_quadrature`` call per _CURVE_BLOCK
-    nodes, whose contour divisions are 2-D.  Each node still goes through
-    ``ml_eval_detailed``, with its sums, which picks its regime.
-    """
+    """``ml_eval`` at each z of ``zs``, bitwise: ``_summed`` stages the
+    curve's double passes and contour values, each node then passes
+    ``ml_eval_detailed`` once, and the first node refused raises."""
     z = np.array(zs, dtype=float)
-    finite = np.isfinite(z)
-    near = np.flatnonzero(finite & _near(params, z))
-    passes = [None] * z.size
-    certified = np.zeros(z.size, dtype=bool)
-    if near.size > 1:
-        for j, sums in zip(near, _sum_double_many(params, z[near])):
-            passes[j] = sums
-            certified[j] = sums is not None and _certifies(*sums)
-    tried = finite & ~certified  # the nodes that reach _quadrature
     values = np.empty(z.size)
-    quads: dict = {}
-    for lo in range(0, z.size, _CURVE_BLOCK):
-        quads.clear()  # the last block's, before this block's are formed
-        at = lo + np.flatnonzero(tried[lo:lo + _CURVE_BLOCK])
-        quads.update(zip(at.tolist(), _quadrature(params, z[at])))
-        for j, zj in enumerate(z[lo:lo + _CURVE_BLOCK].tolist(), lo):
-            values[j] = ml_eval_detailed(params, zj, (passes[j], quads.get(j))).value
+    for j, (zj, summed) in enumerate(zip(z.tolist(), _summed(params, z))):
+        values[j] = ml_eval_detailed(params, zj, summed).value
     return values

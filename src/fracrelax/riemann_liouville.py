@@ -19,9 +19,10 @@ and grid discretizations of both operators:
 The weights are h^nu / Gamma(nu+2) times second differences of m^p,
 p = nu + 1, and in column 0 times (m-1)^p - m^(p-1) (m - p) (Diethelm, Ford
 & Freed, Numer. Algorithms 36, 2004).  Formed literally these lose about
-2 log10(m) and log10(m) digits; for m >= 3 both come from the even and odd
-parts of one binomial series in 1/m instead, and for m = 1, 2 at p < 2 from
-power series in p - 1 with positive terms, keeping the row-sum identity
+2 log10(m) and log10(m) digits; for m >= max(3, ceil(p)) both come from
+the even and odd parts of one binomial series in 1/m instead, and for
+m = 1, 2 at p < 2 from power series in p - 1 with positive terms, while
+below m = p the literal forms cancel little; this keeps the row-sum identity
 sum_k w[j,k] = (t_j - a)^nu / Gamma(nu+1) at machine precision even on
 long grids.
 
@@ -51,9 +52,9 @@ __all__ = [
     "rl_derivative_numeric",
 ]
 
-# From this index on the series in 1/m meets a few ulp in its 13 terms; at
-# m = 1 and 2 it converges too slowly, and ``_start_tails`` (p < 2) or the
-# literal forms serve them.
+# From this index on, and from m = p, the series in 1/m meets a few ulp in
+# its 13 terms; below, it converges too slowly (at m = 3 and nu = 40 it was
+# 8.0e-6 off), and ``_start_tails`` (p < 2) or the literal forms serve them.
 _SERIES_CUT = 3
 
 
@@ -140,11 +141,13 @@ def _binomial_tails(m: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
 
     With T(x) = sum_{i>=2} C(p,i) x^i and x = 1/m they are m^p (T(x) + T(-x))
     and m^p T(-x), which the literal forms reach by cancelling ~m^2 and ~m
-    of their operands; from _SERIES_CUT on, one pass sums the even and odd
-    parts of T instead, to a few ulp.
+    of their operands; from max(_SERIES_CUT, ceil(p)) on, one pass sums the
+    even and odd parts of T instead, to a few ulp.  Below that the literal
+    forms cancel little: a0's two terms share a sign where m < p, and d2's
+    largest operand is at most 4.5 times d2 (at m = 2, p = 2) for p >= 2.
     """
     d2, a0 = np.empty_like(m), np.empty_like(m)
-    small = m < _SERIES_CUT
+    small = m < max(_SERIES_CUT, math.ceil(p))
     if p < 2.0:
         for j, (d2_j, a0_j) in enumerate(_start_tails(p), 1):
             d2[m == j], a0[m == j] = d2_j, a0_j
@@ -210,15 +213,23 @@ def build_weights(grid: UniformGrid, nu: float) -> QuadratureWeights:
 
     Storage is O(n), and no grid has more than grids.MAX_NODES steps, so
     these weights plus volterra.solve_volterra peak below 100 MB.  For
-    nu = 1 the weights reduce to the composite trapezoidal rule.
+    nu = 1 the weights reduce to the composite trapezoidal rule.  Weights
+    past double range (nu = 150 on 200 steps, or h^nu itself) raise
+    DomainError.
     """
     if not nu > 0.0:
         raise DomainError(f"nu must be positive, got {nu!r}")
     n = grid.n
     p = nu + 1.0
-    c0 = grid.h**nu * reciprocal_gamma(nu + 2.0)
-    d2, a0 = _binomial_tails(np.arange(1.0, n + 1.0), p)
-    d2, a0 = c0 * d2[:-1], c0 * a0
+    try:
+        c0 = grid.h**nu * reciprocal_gamma(nu + 2.0)
+    except OverflowError:  # h^nu, refused below with the weights it scales
+        c0 = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        d2, a0 = _binomial_tails(np.arange(1.0, n + 1.0), p)
+        d2, a0 = c0 * d2[:-1], c0 * a0
+    if not (np.isfinite(d2).all() and np.isfinite(a0).all()):
+        raise DomainError(f"the order-{nu!r} weights on {grid} leave double range")
     d2_hat = np.fft.rfft(d2, _fft_size(n - 1))
     return QuadratureWeights(nu=nu, grid=grid, c0=c0, a0=a0, d2=d2, d2_hat=d2_hat)
 

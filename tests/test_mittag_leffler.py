@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -36,9 +37,9 @@ class TestParamsAndSwitch:
         tried = []
         contour = mittag_leffler._contour
 
-        def spy(alpha, beta, x):
-            tried.append((beta, x))
-            return contour(alpha, beta, x)
+        def spy(alpha, beta, xs):
+            tried.extend((beta, x) for x in xs.tolist())
+            return contour(alpha, beta, xs)
 
         monkeypatch.setattr(mittag_leffler, "_contour", spy)
         for alpha, switch in ((1.0, 10.0), (0.4, 4.0)):
@@ -384,8 +385,10 @@ class TestDoublePassCertificate:
     def test_certified_values_meet_contract(self, alpha, x):
         params = MLParams(alpha, 1.0)
         ref = ml_reference_negative(alpha, x)
-        value, _, lost = mittag_leffler._series_double(params, -x)
-        if value is None:  # not certified: the series path goes on to mpmath
+        value, terms, max_mag = mittag_leffler._sum_double(params, -x)
+        if not mittag_leffler._certifies(value, terms, max_mag):
+            # not certified: the series path goes on to mpmath
+            lost = math.log10(max(max_mag, 1.0) / abs(value))
             value = mittag_leffler._series_mp(params, -x, lost).value
         assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
         assert ml_eval(params, -x) == pytest.approx(ref, rel=1e-13, abs=0.0)
@@ -403,8 +406,8 @@ class TestContourRegime:
         # every node of (0, 10 alpha] on the contour itself, certified or not
         xs = np.linspace(10.0 * alpha / 12, 10.0 * alpha, 12)
         certified = 0
-        for x in xs:
-            v, err, _ = mittag_leffler._contour(alpha, beta, x)
+        values, errs, _ = mittag_leffler._contour(alpha, beta, xs)
+        for x, v, err in zip(xs, values, errs):
             if err <= 1e-13 * abs(v):
                 certified += 1
                 assert v == pytest.approx(exact_reference(alpha, beta, x), rel=1e-13, abs=0.0), x
@@ -424,13 +427,11 @@ class TestContourRegime:
         # E[1.5](-x) ~ (2/3) e^(x^(2/3) cos(2 pi/3)) cos(x^(2/3) sin(2 pi/3))
         # plus the algebraic tail; the poles leave the contour near x = 1
         xs = np.linspace(0.5, 3.0, 11)
-        nodes = set()
-        for x in xs:
-            v, err, n = mittag_leffler._contour(1.5, 1.0, x)
-            nodes.add(n)
+        values, errs, nodes = mittag_leffler._contour(1.5, 1.0, xs)
+        for x, v, err in zip(xs, values, errs):
             assert err <= 1e-13 * abs(v)
             assert v == pytest.approx(exact_reference(1.5, 1.0, x), rel=1e-13, abs=0.0), x
-        assert len(nodes) > 1  # mu lowered next to the crossing
+        assert len(set(nodes.tolist())) > 1  # mu lowered next to the crossing
 
 
 class _CountingMp:
@@ -475,7 +476,8 @@ class TestDoomedPassSkip:
 
     @staticmethod
     def certified_pass(params, z):
-        return mittag_leffler._series_double(params, z)[0]
+        sums = mittag_leffler._sum_double(params, z)
+        return sums[0] if mittag_leffler._certifies(*sums) else None
 
     @pytest.mark.parametrize("alpha", SKIP_ALPHAS)
     def test_certifying_pass_is_never_skipped(self, alpha):
@@ -558,6 +560,86 @@ class TestLockstepPasses:
         assert mittag_leffler.ml_eval_many(params, zs).tolist() == [
             ml_eval(params, z) for z in zs]
 
+    def test_passes_that_do_not_stop(self, monkeypatch):
+        # both forms hand back (None, None, max_mag) for ml_eval_detailed to
+        # refuse; beside them passes stop, and powers overflow
+        monkeypatch.setattr(mittag_leffler, "_MAX_TERMS", 5)
+        params = MLParams(0.5)
+        zs = [-3.0, 1e-9, -1e200, 2.0, 0.0]
+        many = mittag_leffler._sum_double_many(params, zs)
+        assert many == self.scalar(params, zs)
+        assert [k is None for _, k, _ in many] == [True, False, False, True, False]
+
+    def test_kernel_sees_two_nodes_or_more(self, monkeypatch):
+        sizes = []
+        real = mittag_leffler._sum_double_many
+
+        def spy(params, zs):
+            sizes.append(len(zs))
+            return real(params, zs)
+
+        monkeypatch.setattr(mittag_leffler, "_sum_double_many", spy)
+        params = MLParams(0.5)
+        for z in (-0.5, -3.0, -30.0, 2.0):
+            ml_eval(params, z)
+        # no near node, one near node, two near nodes, a curve past a block
+        for zs in ([-30.0, -40.0], [-30.0, -0.5], [-0.5, -30.0, -3.0],
+                   -np.linspace(0.01, 20.0, 600)):
+            mittag_leffler.ml_eval_many(params, zs)
+        assert sizes == [2, 150]  # the curve's near nodes, z >= -10 alpha
+
+
+class TestOnePath:
+    """A lone value and a curve's node take the same staging, and each node's
+    double pass is judged once; refusals come from ``ml_eval_detailed``, at
+    the node, with the messages they always had."""
+
+    def test_pass_that_does_not_stop_is_refused(self):
+        with pytest.raises(SeriesConvergenceError, match=re.escape(
+                "series for E[0.0001, 1.0](0.999) did not satisfy the stopping "
+                "rule within 10000 terms")):
+            ml_eval(MLParams(1e-4), 0.999)
+
+    def test_positive_overflow_is_refused(self):
+        with pytest.raises(MLOverflowError, match=re.escape(
+                "E[1.0, 1.0](800.0) exceeds double range")):
+            ml_eval(MLParams(1.0), 800.0)
+
+    @pytest.mark.parametrize("zs", [
+        [0.5, 0.999, 1.5],  # the pass that does not stop comes first
+        [0.5, 1.5, 0.999],  # the peak term past double range comes first
+        [-0.5, math.nan, 1.5],  # a non-finite z comes first
+        [-30.0, 1.5, -3.0],  # far nodes, without a pass, around a refusal
+    ])
+    def test_curve_raises_the_first_refusal(self, zs):
+        params = MLParams(1e-4)
+        with pytest.raises((ArithmeticError, ValueError)) as lone:
+            for z in zs:
+                ml_eval(params, z)
+        with pytest.raises(type(lone.value), match=re.escape(str(lone.value))):
+            mittag_leffler.ml_eval_many(params, zs)
+
+    def test_each_pass_is_judged_once(self, monkeypatch):
+        verdicts = []
+        real = mittag_leffler._certifies
+
+        def spy(*sums):
+            verdicts.append(sums)
+            return real(*sums)
+
+        monkeypatch.setattr(mittag_leffler, "_certifies", spy)
+        # near nodes that certify, that go on to the contour, and far ones
+        for params, zs in [(MLParams(0.7), -np.linspace(0.01, 20.0, 700)),
+                           (MLParams(0.7, 0.5), -np.linspace(1.5, 1.8, 40)),
+                           (MLParams(2.5), np.linspace(-30.0, 3.0, 50))]:
+            verdicts.clear()
+            mittag_leffler.ml_eval_many(params, zs)
+            assert len(verdicts) == np.count_nonzero(mittag_leffler._near(params, zs))
+        for z in (-0.5, -5.0, -30.0):  # two near nodes, then one far
+            verdicts.clear()
+            ml_eval(MLParams(0.7), z)
+            assert len(verdicts) == (z >= -7.0)
+
 
 # The closed-form curves of the benchmark: (nu, mu or None, window in 1/c),
 # c = 1, 2000 nodes; the last one is the curve of the known fault.
@@ -569,8 +651,13 @@ BENCH_CURVES = ([(nu, None, span) for span in (5.0, 40.0) for nu in (0.3, 0.7, 0
 
 class TestBatchedContour:
     """``_contour`` and ``_quadrature`` on an array of x give every x the
-    bits of its own call, the one-row case of the same kernel; and a row
-    sums as a 1-D division of its own would."""
+    bits of its own one-row call, which is how a lone value is evaluated;
+    and a row sums as a 1-D division of its own would."""
+
+    @staticmethod
+    def single(alpha, beta, x):
+        value, err, nodes = mittag_leffler._contour(alpha, beta, np.array([x]))
+        return float(value[0]), float(err[0]), int(nodes[0])
 
     @staticmethod
     def one_dimensional(alpha, beta, x):
@@ -590,15 +677,15 @@ class TestBatchedContour:
         xs = np.geomspace(1e-3, 10.0 * alpha, 203)
         for beta in sorted({alpha, 1.0, alpha + 0.5, alpha - 2.0}):
             value, err, nodes = mittag_leffler._contour(alpha, beta, xs)
-            singles = [mittag_leffler._contour(alpha, beta, x) for x in xs.tolist()]
+            singles = [self.single(alpha, beta, x) for x in xs.tolist()]
             assert list(zip(value.tolist(), err.tolist(), nodes.tolist())) == singles
             assert singles == [self.one_dimensional(alpha, beta, x) for x in xs.tolist()]
             assert (len(set(nodes.tolist())) > 1) == (alpha > 1.0)
 
     def test_one_row(self):
+        # a lone value's contour: one row, summed as the 1-D division
         for alpha, beta, x in [(0.5, 1.0, 3.0), (1.5, 1.0, 1.0), (1.99, 0.5, 0.3)]:
-            value, err, nodes = mittag_leffler._contour(alpha, beta, np.array([x]))
-            assert (value[0], err[0], nodes[0]) == mittag_leffler._contour(alpha, beta, x)
+            assert self.single(alpha, beta, x) == self.one_dimensional(alpha, beta, x)
 
     @pytest.mark.parametrize("alpha, beta", [
         (0.1, 1.0), (0.3, 1.0), (0.7, 0.5), (1.0, 1.0), (1.5, 1.0), (1.99, 2.0),
@@ -609,7 +696,7 @@ class TestBatchedContour:
         params = MLParams(alpha, beta)
         zs = np.append(-np.geomspace(1e-2, 1e4, 301), [-1000.0, 0.0, 2.0])
         many = mittag_leffler._quadrature(params, zs)
-        assert many == [mittag_leffler._quadrature(params, z) for z in zs.tolist()]
+        assert many == [mittag_leffler._quadrature(params, np.array([z]))[0] for z in zs.tolist()]
         assert many[-2:] == [(None, None), (None, None)]  # z >= 0 is not its regime
         assert sum(res is not None for res, _ in many) > 100
 
@@ -617,7 +704,7 @@ class TestBatchedContour:
         params = MLParams(0.3, 200.0)
         res, lost = mittag_leffler._quadrature(params, np.array([-1000.0]))[0]
         assert res.value == 0.0 and res.regime == "contour" and lost is None
-        assert (res, lost) == mittag_leffler._quadrature(params, -1000.0)
+        assert ml_eval_detailed(params, -1000.0) == res
 
     def test_each_node_passes_the_detailed_evaluator_once(self, monkeypatch):
         seen = []
@@ -667,9 +754,10 @@ class TestCompletelyMonotoneRange:
 
     def test_contour_certifies_the_range(self):
         uncertified = []
+        xs = np.geomspace(1e-3, 1e6, 46)
         for alpha in np.linspace(0.05, 0.99, 48):
-            for x in np.geomspace(1e-3, 1e6, 46):
-                v, err, _ = mittag_leffler._contour(float(alpha), 1.0, float(x))
+            values, errs, _ = mittag_leffler._contour(float(alpha), 1.0, xs)
+            for x, v, err in zip(xs, values, errs):
                 if not err <= 1e-13 * abs(v):
                     uncertified.append((alpha, x))
         assert uncertified == []
@@ -695,8 +783,8 @@ class TestAlphaNearOne:
         # 1/Gamma(beta - alpha) vanishes and E ~ x^-2 / Gamma(-alpha); a
         # contour on the remainder after one algebraic term misses these
         params = MLParams(alpha, alpha)
-        for x in np.geomspace(10.0 * alpha, 1e6, 41)[1:]:
-            res, _ = mittag_leffler._quadrature(params, -float(x))
+        xs = np.geomspace(10.0 * alpha, 1e6, 41)[1:]
+        for x, (res, _) in zip(xs, mittag_leffler._quadrature(params, -xs)):
             assert res is not None and res.regime == "contour", x
 
 

@@ -177,11 +177,13 @@ class TestWeights:
                 assert got_d2 == pytest.approx(float(exact_d2), rel=1e-12, abs=0), m
                 assert got_a0 == pytest.approx(float(exact_a0), rel=1e-12, abs=0), m
 
-    @pytest.mark.parametrize("nu", [0.05, 0.3, 0.9, 1.3, 1.95])
+    @pytest.mark.parametrize("nu", [0.05, 0.3, 0.9, 1.3, 1.95, 22.0, 40.0, 80.0])
     def test_weight_coefficients_near_the_start_to_an_ulp(self, nu):
-        # m = 1..7, where the literal forms once lost up to 1.9e-13
-        ms = range(1, 8)
+        # m = 1..7, where the literal forms once lost up to 1.9e-13; at large
+        # nu the series in 1/m, taken from m = 3, was 8.0e-6 off at nu = 40,
+        # so every m up to 2p checks both sides of its cut at ceil(p)
         p = nu + 1.0
+        ms = range(1, max(8, round(2 * p) + 1))
         d2, a0 = _binomial_tails(np.array(ms, dtype=float), p)
         with mp.workdps(50):
             pm = mp.mpf(p)
@@ -196,6 +198,15 @@ class TestWeights:
         g = UniformGrid.from_span(0.0, 1.0, 8)
         with pytest.raises(DomainError):
             build_weights(g, 0.0)
+
+    @pytest.mark.parametrize("span, n, nu", [
+        (1.0, 200, 150.0),  # (m + 1)^151 overflows from m = 110 on; NaN weights
+        (1000.0, 10, 200.0),  # h^nu = 100^200; an untyped OverflowError
+    ])
+    def test_weights_past_double_range_are_refused(self, span, n, nu):
+        g = UniformGrid.from_span(0.0, span, n)
+        with pytest.raises(DomainError, match="leave double range"):
+            build_weights(g, nu)
 
 
 def _test_vectors(n):
