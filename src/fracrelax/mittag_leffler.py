@@ -11,7 +11,11 @@ relative:
    Kahan-compensated double-precision summation, kept wherever its rounding
    estimate (largest partial sum and term count) certifies, because there
    it is accurate to a few ulp, which the Neumann-envelope checks at
-   |z| <= 1 rely on.
+   |z| <= 1 rely on.  In a curve, a pass at z < 0 that regime 2 can take
+   stops at the first term that proves its estimate cannot certify: past
+   the terms' peak, where the partial sums are bounded, or above
+   1/Gamma(beta), which bounds E where it is completely monotone
+   (``_sum_double_many``).
 2. Contour, for z = -x < 0 and alpha < 2: the Bromwich integral
 
        E[alpha, beta](-x) = 1/(2 pi i) int_C e^s s^(alpha-beta)/(s^alpha + x) ds
@@ -36,8 +40,9 @@ relative:
    pass keeps 17 significant digits; a pass stops at a term below
    10^-(dps-3) of its partial sum, and forms alpha k + beta in mpmath.
    Past _MAX_DPS digits SeriesConvergenceError is raised.  One estimate,
-   ``_peak_term``, gives that peak term and the overflow rule: for z > 0,
-   E exceeds double range where its peak term or mpmath value does.
+   ``_peak_term``, gives that peak term and the overflow rule
+   (``_overflows``): for z > 0, E exceeds double range where its peak term
+   does, which is refused before any pass, or where its mpmath value does.
 
 One staging, ``_summed``, forms regimes 1 and 2 for a curve, and a lone
 value is the one-node curve: two or more double passes are summed in
@@ -49,6 +54,7 @@ the bits of the scalar forms; ``ml_eval_detailed`` reads its stage once.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -75,6 +81,13 @@ _TARGET_REL = 1e-13
 # and the term cap of every series pass.
 _SERIES_TOL = 1e-16
 _MAX_TERMS = 10_000
+# The lockstep kernel's stop rule: a pass stops once its rounding estimate
+# exceeds _TARGET_REL of a bound on its value by _PEAK_MARGIN (past the
+# terms' peak) or by _CM_MARGIN (where E is completely monotone).  Either
+# margin at 0.5 stops certifying passes (2 499 or 494) in the 40 000-pass
+# scan of tests/test_mittag_leffler.py.
+_PEAK_MARGIN = 2.0
+_CM_MARGIN = 1.01
 # Algebraic terms the far form splits off: _FAR_TERMS past z = -10 alpha, and
 # enough that beta' - alpha < _FAR_MAX_EXCESS.  The contour's certificate,
 # measured to hold up to beta - alpha = 4, at 26.4 passed a value 1e37 off.
@@ -196,20 +209,56 @@ def _sum_double(params: MLParams, z: float):
 
 
 def _sum_double_many(params: MLParams, zs: np.ndarray) -> list:
-    """``_sum_double`` at every finite z of ``zs``, bitwise, in lockstep.
+    """``_sum_double`` at every finite z of ``zs``, bitwise, in lockstep,
+    except that a pass which provably cannot certify stops early.
 
     Term k is one set of numpy operations over the passes still running;
     IEEE addition, multiplication and abs round as on Python floats, and
     fmax ignores a NaN as ``_sum_double``'s comparisons do, so every pass
-    returns the tuple ``_sum_double`` would, (None, None, max_magnitude)
-    included.  Finished passes keep their buffer slots, masked, until half
-    of the slots are finished; then the live ones are compacted.
+    that completes returns the tuple ``_sum_double`` would, (None, None,
+    max_magnitude) included.  A finished pass keeps its buffer slot, with a
+    NaN term, power and max magnitude that fail every later test, until
+    half of the slots are finished; then the live ones are compacted.
+    Powers are tested for overflow only from the term where the largest
+    |z| could reach 2^1024.
+
+    A pass at z < 0 that ``_quadrature`` can take (``_heads``) stops at the
+    first term k that proves it cannot certify, and gives the int k in
+    place of its tuple.  With s_k the partial sum before term T_k, M_k the
+    max magnitude so far and e_k = eps (4 + 2 sqrt(k)), a pass that stopped
+    at term m >= k would certify only if e_m max(M_m, 1) <= _TARGET_REL
+    |s_m|; the left side is at least e_k max(M_k, 1).
+
+    (i) Past the peak: e_k M_k > _PEAK_MARGIN _TARGET_REL (|s_k| + |T_k|).
+        |T_j| = x^j / Gamma(alpha j + beta) is log-concave in j (lgamma is
+        convex), so it rises to one peak and then falls.  While it rises,
+        the alternating partial sums obey |s_(j+1)| <= |T_j| (by induction:
+        s_j has the sign of T_(j-1)), so M_k = |T_(k-1)|.  Up to _MAX_TERMS
+        terms e_k < 0.23 _PEAK_MARGIN _TARGET_REL, so the rule puts |T_k|
+        below 0.23 M_k: past the peak, with room for the terms' rounding
+        (~k eps relative).  From there the terms fall and alternate, so
+        every later partial sum lies between s_k and s_k + T_k, and
+        |s_m| <= |s_k| + |T_k| up to the sum's rounding, which the margin 2
+        leaves room for.  Then e_m max(M_m, 1) >= e_k M_k > _TARGET_REL |s_m|.
+    (ii) Completely monotone: alpha <= 1, beta >= alpha and
+        e_k max(M_k, 1) > _CM_MARGIN _TARGET_REL T_0.  There E[alpha,
+        beta](-x) is completely monotone in x (Pollard, Bull. Amer. Math.
+        Soc. 54, 1948, for beta = 1; Schneider, Expo. Math. 14, 1996), so
+        0 < E <= E(0) = 1/Gamma(beta) = T_0, and a pass whose value is
+        within 1% of T_0 of E has _TARGET_REL |s_m| < e_k max(M_k, 1).
+
+    ``_summed`` sums a stopped pass in full with ``_sum_double`` where the
+    contour leaves its node with neither a value nor a digit count.  A pass
+    at -10 alpha <= z < 0, alpha < 2, stops by itself long before
+    _MAX_TERMS (its terms there fall below e^-5000), so the rule never
+    stops one that ``ml_eval_detailed`` would refuse.
     """
     z = np.array(zs, dtype=float)
     n = z.size
     results: list = [None] * n
     slot = np.arange(n)  # index into zs of each buffer slot
     live = np.ones(n, dtype=bool)
+    stoppable = (z < 0.0) & (_heads(params) is not None)  # passes the rule may stop
     s, comp, max_mag, abs_s = (np.zeros(n) for _ in range(4))
     zk = np.ones(n)
     term, at, y, t = (np.empty(n) for _ in range(4))
@@ -218,20 +267,33 @@ def _sum_double_many(params: MLParams, zs: np.ndarray) -> list:
     alpha, beta = params.alpha, params.beta
     size = 64
     coeffs = _series_coefficients(alpha, beta, size)
+    cm_bound = _CM_MARGIN * _TARGET_REL * coeffs[0] if alpha <= 1.0 and beta >= alpha else None
+
+    def finish(js, outcomes):  # record the slots js, then mask them
+        nonlocal running
+        for i, outcome in zip(slot[js].tolist(), outcomes):
+            results[i] = outcome
+        live[js] = False
+        term[js] = at[js] = zk[js] = max_mag[js] = math.nan
+        running -= js.size
+
     with np.errstate(over="ignore", invalid="ignore"):  # masked or compared
         for k in range(_MAX_TERMS + 1):
             if k == 0 or 2 * running <= used:
                 if running == 0:
                     break
                 keep = np.flatnonzero(live[:used])
-                for buf in (slot, s, comp, max_mag, abs_s, zk, z):
+                for buf in (slot, s, comp, max_mag, abs_s, zk, z, stoppable):
                     buf[:running] = buf[keep]
                 live[:running] = True
                 used = running
                 # views of the live slots, taken once per compaction
-                S, T, C, M, A, ZK, Z, L, TERM, AT, Y, D = (
-                    b[:used] for b in (s, t, comp, max_mag, abs_s, zk, z, live,
+                S, T, C, M, A, ZK, Z, O, TERM, AT, Y, D = (
+                    b[:used] for b in (s, t, comp, max_mag, abs_s, zk, z, stoppable,
                                        term, at, y, done))
+                rule = O.any()
+                zmax = float(np.abs(Z).max())  # z^(k+1) < 2^1024 while k < grows
+                grows = math.floor(709.0 / math.log(zmax)) - 1 if zmax > 1.0 else _MAX_TERMS
             if k == size:
                 size *= 4
                 coeffs = _series_coefficients(alpha, beta, size)
@@ -241,11 +303,20 @@ def _sum_double_many(params: MLParams, zs: np.ndarray) -> list:
                 np.fmax(A, 1.0, out=Y)
                 Y *= _SERIES_TOL
                 np.less(AT, Y, out=D)
-                D &= L
-                for j in np.flatnonzero(D):
-                    results[slot[j]] = (float(s[j]), k, float(max_mag[j]))
-                    live[j] = False
-                    running -= 1
+                js = np.flatnonzero(D)
+                if js.size:
+                    finish(js, [(v, k, m) for v, m in zip(S[js].tolist(), M[js].tolist())])
+                if rule:
+                    e = _EPS * (4.0 + 2.0 * math.sqrt(k))
+                    np.add(A, AT, out=Y)  # (i)
+                    Y *= _PEAK_MARGIN * _TARGET_REL / e
+                    if cm_bound is not None:  # (ii): max(M, 1) > cm_bound / e
+                        np.minimum(Y, cm_bound / e if cm_bound >= e else -1.0, out=Y)
+                    np.greater(M, Y, out=D)
+                    D &= O
+                    js = np.flatnonzero(D)
+                    if js.size:
+                        finish(js, [k] * js.size)
             np.subtract(TERM, C, out=Y)
             np.add(S, Y, out=T)
             np.subtract(T, S, out=C)
@@ -255,12 +326,11 @@ def _sum_double_many(params: MLParams, zs: np.ndarray) -> list:
             np.fmax(M, A, out=M)
             np.fmax(M, AT, out=M)
             ZK *= Z
-            np.isinf(ZK, out=D)
-            D &= L
-            for j in np.flatnonzero(D):
-                results[slot[j]] = (None, k + 1, float(max_mag[j]))
-                live[j] = False
-                running -= 1
+            if k >= grows:
+                np.isinf(ZK, out=D)
+                js = np.flatnonzero(D)
+                if js.size:
+                    finish(js, [(None, k + 1, m) for m in M[js].tolist()])
     for j in np.flatnonzero(live[:used]):  # passes that did not stop
         results[slot[j]] = (None, None, float(max_mag[j]))
     return results
@@ -336,14 +406,22 @@ def _near(params: MLParams, z):
     return (params.alpha >= 2.0) | (z >= -10.0 * params.alpha)
 
 
-def _certifies(res, k, max_mag: float) -> bool:
-    """The double pass's rounding certificate, on a ``_sum_double`` tuple:
-    additions cost ~eps * max partial sum, the term recurrence another
+def _overflows(params: MLParams, x: float) -> bool:
+    """Whether E[alpha, beta](x), x > 1, exceeds double range by its peak
+    term: every term is positive, so E exceeds each of them."""
+    return _peak_term(params, x)[1] > 1024.0 * math.log(2.0)
+
+
+def _certifies(res, k, max_mag):
+    """The double pass's rounding certificate, on the fields of
+    ``_sum_double`` tuples, each a float or an array of them (None reads as
+    nan): additions cost ~eps * max partial sum, the term recurrence another
     ~eps * k/2 relative per term, and that must stay below _TARGET_REL of
-    a value that is not None (the pass did not stop, or a power
-    overflowed) or 0."""
-    return (res is not None and res != 0.0
-            and _EPS * (4.0 + 2.0 * math.sqrt(k)) * max(max_mag, 1.0) <= _TARGET_REL * abs(res))
+    the value.  The cost is positive, so a value that is None (the pass did
+    not stop, or a power overflowed) or 0 fails.  Returns a numpy bool, or
+    an array of them."""
+    res, k = np.array(res, dtype=float), np.array(k, dtype=float)
+    return _EPS * (4.0 + 2.0 * np.sqrt(k)) * np.fmax(max_mag, 1.0) <= _TARGET_REL * np.abs(res)
 
 
 def _series_mp(params: MLParams, z: float, lost: float) -> MLResult:
@@ -492,6 +570,15 @@ def _far_terms(alpha: float, beta: float,
     return tuple(coeffs), tuple(logs), float(Fraction(beta) - m * Fraction(alpha))
 
 
+def _heads(params: MLParams):
+    """The least number m of head terms the far form splits off so that its
+    remainder has beta - m alpha - alpha < _FAR_MAX_EXCESS; None where
+    ``_quadrature`` takes no node (alpha >= 2, or m past _MAX_TERMS)."""
+    alpha, beta = params.alpha, params.beta
+    least = math.floor(min(max((beta - _FAR_MAX_EXCESS) / alpha, 0.0), _MAX_TERMS + 1.0))
+    return None if alpha >= 2.0 or least > _MAX_TERMS else least
+
+
 def _quadrature(params: MLParams, z: np.ndarray) -> list:
     """The certified contour value at each z < 0 of the array ``z``, as a
     list of pairs (MLResult or None, lost).
@@ -514,8 +601,8 @@ def _quadrature(params: MLParams, z: np.ndarray) -> list:
     alpha, beta = params.alpha, params.beta
     x = -z
     out = [(None, None)] * x.size
-    least = math.floor(min(max((beta - _FAR_MAX_EXCESS) / alpha, 0.0), _MAX_TERMS + 1.0))
-    if alpha >= 2.0 or least > _MAX_TERMS:
+    least = _heads(params)
+    if least is None:
         return out
     far = x > 10.0 * alpha
     for m, at in ((least, np.flatnonzero((x > 0.0) & ~far)),
@@ -562,27 +649,46 @@ def _summed(params: MLParams, z: np.ndarray):
 
     pass is the node's ``_sum_double`` tuple where ``_near`` tries one
     (two or more in lockstep, a lone one in the scalar loop, which costs
-    less), and certified its ``_certifies`` verdict; quad is its
+    less) and ``_overflows`` does not refuse z, and certified its
+    ``_certifies`` verdict, formed for the curve at once; quad is its
     ``_quadrature`` pair where z is finite and no pass certifies, formed a
-    _CURVE_BLOCK of nodes at a time.  A part not formed is None, and no
-    refusal is raised here: ``ml_eval_detailed`` raises it at the node.
+    _CURVE_BLOCK of nodes at a time.  A pass the kernel stopped is None,
+    unless its quad is (None, None): then it is summed in full, as the
+    mpmath pass's precision is sized from it.  A part not formed is None,
+    and no refusal is raised here: ``ml_eval_detailed`` raises it at the
+    node.
     """
     finite = np.isfinite(z)
-    near = np.flatnonzero(finite & _near(params, z))
+    to_sum = finite & _near(params, z)
+    for j in np.flatnonzero(to_sum & (z > 1.0)).tolist():
+        to_sum[j] = not _overflows(params, z[j].item())
+    near = np.flatnonzero(to_sum)
     passes = [None] * z.size
-    certified = np.zeros(z.size, dtype=bool)
+    judged, stopped = [], []  # nodes whose pass completed, or was stopped
     sums = (_sum_double_many(params, z[near]) if near.size > 1
             else [_sum_double(params, zj) for zj in z[near].tolist()])
     for j, node_sums in zip(near.tolist(), sums):
-        passes[j], certified[j] = node_sums, _certifies(*node_sums)
+        if isinstance(node_sums, tuple):
+            passes[j] = node_sums
+            judged.append(j)
+        else:
+            stopped.append(j)
+    certified = np.zeros(z.size, dtype=bool)
+    if judged:
+        certified[judged] = _certifies(*zip(*(passes[j] for j in judged)))
     tried = finite & ~certified
     quads: dict = {}
     for lo in range(0, z.size, _CURVE_BLOCK):
+        hi = min(lo + _CURVE_BLOCK, z.size)
         quads.clear()  # the last block's, before this block's are formed
-        at = lo + np.flatnonzero(tried[lo:lo + _CURVE_BLOCK])
+        at = lo + np.flatnonzero(tried[lo:hi])
         if at.size:
             quads.update(zip(at.tolist(), _quadrature(params, z[at])))
-        for j in range(lo, min(lo + _CURVE_BLOCK, z.size)):
+        for j in stopped[bisect_left(stopped, lo):bisect_left(stopped, hi)]:
+            if quads[j] == (None, None):
+                passes[j] = _sum_double(params, z[j].item())
+                certified[j] = _certifies(*passes[j])
+        for j in range(lo, hi):
             yield passes[j], certified[j], quads.get(j)
 
 
@@ -591,19 +697,17 @@ def ml_eval_detailed(params: MLParams, z: float, summed=None) -> MLResult:
 
     ``summed`` is the node's stage from ``_summed`` (``ml_eval_many``);
     without it z is staged as a one-node curve.  Raises MLOverflowError
-    where the peak term, and so E (every term is positive for z > 0),
-    exceeds double range, and SeriesConvergenceError where the double pass
-    did not stop.
+    where ``_overflows``: the peak term, and so E, exceeds double range;
+    and SeriesConvergenceError where the double pass did not stop.
     """
     z = float(z)  # a numpy scalar would slow every term of the double pass
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
+    if z > 1.0 and _overflows(params, z):
+        raise MLOverflowError(f"E[{params.alpha}, {params.beta}]({z}) exceeds double range")
     sums, certified, quad = summed or next(_summed(params, np.array([z])))
     lost = None  # digits the double pass saw cancel
     if sums is not None:
-        if z > 1.0 and _peak_term(params, z)[1] > 1024.0 * math.log(2.0):
-            raise MLOverflowError(
-                f"E[{params.alpha}, {params.beta}]({z}) exceeds double range")
         value, terms, max_mag = sums
         if terms is None:
             raise SeriesConvergenceError(

@@ -34,6 +34,7 @@ O(n) storage, and both operators apply as FFT convolutions in O(n log n)
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,7 +216,9 @@ def build_weights(grid: UniformGrid, nu: float) -> QuadratureWeights:
     these weights plus volterra.solve_volterra peak below 100 MB.  For
     nu = 1 the weights reduce to the composite trapezoidal rule.  Weights
     past double range (nu = 150 on 200 steps, or h^nu itself) raise
-    DomainError.
+    DomainError, and so does a scale c0 = h^nu / Gamma(nu + 2) below the
+    normal range (nu = 150 on 8 steps), where the weights it scales would
+    lose their digits or vanish.
     """
     if not nu > 0.0:
         raise DomainError(f"nu must be positive, got {nu!r}")
@@ -230,6 +233,9 @@ def build_weights(grid: UniformGrid, nu: float) -> QuadratureWeights:
         d2, a0 = c0 * d2[:-1], c0 * a0
     if not (np.isfinite(d2).all() and np.isfinite(a0).all()):
         raise DomainError(f"the order-{nu!r} weights on {grid} leave double range")
+    if c0 < sys.float_info.min:  # every tail is positive: a0[0] = nu
+        raise DomainError(f"the order-{nu!r} weights on {grid} underflow: "
+                          f"their scale h^nu / Gamma(nu + 2) is {c0!r}")
     d2_hat = np.fft.rfft(d2, _fft_size(n - 1))
     return QuadratureWeights(nu=nu, grid=grid, c0=c0, a0=a0, d2=d2, d2_hat=d2_hat)
 

@@ -495,9 +495,26 @@ class TestDoomedPassSkip:
             assert handed_on > 0
 
 
+def assert_stopped_passes_fail(params, zs, many):
+    """Each pass of ``many`` (``_sum_double_many`` at ``zs``) that completed
+    is the scalar tuple; each the kernel stopped, at z < 0, is one that
+    ``_certifies`` rejects, and it stopped no later than the scalar pass."""
+    stopped = 0
+    for z, got in zip(zs, many):
+        one = mittag_leffler._sum_double(params, z)
+        if isinstance(got, tuple):
+            assert got == one, z
+        else:
+            assert z < 0.0 and not mittag_leffler._certifies(*one), z
+            assert 1 <= got <= one[1], z
+            stopped += 1
+    return stopped
+
+
 class TestLockstepPasses:
-    """``_sum_double_many`` gives every node the tuple of ``_sum_double``,
-    and ``ml_eval_many`` every node the value of ``ml_eval``."""
+    """``_sum_double_many`` gives every node whose pass completes the tuple
+    of ``_sum_double``, and ``ml_eval_many`` every node the value of
+    ``ml_eval``."""
 
     @staticmethod
     def scalar(params, zs):
@@ -505,10 +522,14 @@ class TestLockstepPasses:
 
     @pytest.mark.parametrize("alpha", SKIP_ALPHAS + [2.0, 2.5])
     def test_equals_the_scalar_pass(self, alpha):
+        stopped = 0
         for beta in sorted({alpha, 0.5, 1.0, 1.3, 2.0}):
             params = MLParams(alpha, beta)
             zs = np.linspace(-10.0 * alpha, 1.0, 201).tolist()
-            assert mittag_leffler._sum_double_many(params, zs) == self.scalar(params, zs)
+            many = mittag_leffler._sum_double_many(params, zs)
+            stopped += assert_stopped_passes_fail(params, zs, many)
+        # alpha >= 2: _quadrature takes no node, so no pass may stop
+        assert (stopped > 0) == (alpha < 2.0)
 
     def test_overflowing_powers(self):
         # z^k overflows at different k, beside passes that stop
@@ -619,26 +640,131 @@ class TestOnePath:
         with pytest.raises(type(lone.value), match=re.escape(str(lone.value))):
             mittag_leffler.ml_eval_many(params, zs)
 
-    def test_each_pass_is_judged_once(self, monkeypatch):
-        verdicts = []
-        real = mittag_leffler._certifies
+    @pytest.mark.parametrize("contour", [True, False])
+    def test_each_pass_is_judged_once(self, monkeypatch, contour):
+        # a verdict per completed pass; a stopped pass is judged only where
+        # the contour gives no digit count (here, without it: every node)
+        # and it is summed in full
+        verdicts, stopped = [], []
+        real, kernel = mittag_leffler._certifies, mittag_leffler._sum_double_many
 
-        def spy(*sums):
-            verdicts.append(sums)
-            return real(*sums)
+        def spy(res, k, max_mag):
+            verdicts.extend(np.atleast_1d(np.asarray(res, dtype=float)).tolist())
+            return real(res, k, max_mag)
+
+        def kernel_spy(params, zs):
+            many = kernel(params, zs)
+            stopped.extend(r for r in many if not isinstance(r, tuple))
+            return many
 
         monkeypatch.setattr(mittag_leffler, "_certifies", spy)
+        monkeypatch.setattr(mittag_leffler, "_sum_double_many", kernel_spy)
+        if not contour:
+            monkeypatch.setattr(mittag_leffler, "_quadrature",
+                                lambda params, z: [(None, None)] * z.size)
         # near nodes that certify, that go on to the contour, and far ones
         for params, zs in [(MLParams(0.7), -np.linspace(0.01, 20.0, 700)),
                            (MLParams(0.7, 0.5), -np.linspace(1.5, 1.8, 40)),
                            (MLParams(2.5), np.linspace(-30.0, 3.0, 50))]:
+            if not contour:  # mpmath takes every node left: keep them few
+                zs = zs[::10]
             verdicts.clear()
+            stopped.clear()
             mittag_leffler.ml_eval_many(params, zs)
-            assert len(verdicts) == np.count_nonzero(mittag_leffler._near(params, zs))
+            near = np.count_nonzero(mittag_leffler._near(params, zs))
+            assert len(verdicts) == near - (len(stopped) if contour else 0)
+            assert (len(stopped) > 0) == (params.alpha < 2.0)
         for z in (-0.5, -5.0, -30.0):  # two near nodes, then one far
             verdicts.clear()
             ml_eval(MLParams(0.7), z)
             assert len(verdicts) == (z >= -7.0)
+
+    def test_overflowing_node_gets_no_pass(self, monkeypatch):
+        # the peak-term rule refuses z before any pass is summed, in a lone
+        # value and in a curve
+        def forbidden(params, z):
+            raise AssertionError(f"double pass at z = {z}")
+
+        seen = []
+        kernel = mittag_leffler._sum_double_many
+
+        def spy(params, zs):
+            seen.extend(np.asarray(zs).tolist())
+            return kernel(params, zs)
+
+        monkeypatch.setattr(mittag_leffler, "_sum_double", forbidden)
+        monkeypatch.setattr(mittag_leffler, "_sum_double_many", spy)
+        for params, z in [(MLParams(1e-4), 1.5), (MLParams(1.0), 800.0)]:
+            with pytest.raises(MLOverflowError, match=re.escape(
+                    f"E[{params.alpha}, {params.beta}]({z}) exceeds double range")):
+                ml_eval(params, z)
+        with pytest.raises(MLOverflowError):
+            mittag_leffler.ml_eval_many(MLParams(1.0), [-0.5, 800.0, -1.0, 900.0])
+        assert seen == [-0.5, -1.0]
+
+
+# alpha on 0.05..1.95 and the beta of the stop-rule scan; beta = None is alpha
+STOP_ALPHAS = [round(0.05 + 0.1 * i, 2) for i in range(20)]
+STOP_BETAS = [0.1, 0.3, None, 0.5, 1.0, 1.3, 1.5, 2.0, 3.0, 5.0]
+
+
+class TestStopRule:
+    """The lockstep kernel stops a pass only where it provably cannot
+    certify; a stopped node whose contour gives no digit count is summed in
+    full, so every value and refusal stays that of ``ml_eval``."""
+
+    def test_stops_only_passes_that_fail(self):
+        # 40 000 passes; lowering either margin of the rule to 0.5 stops
+        # certifying passes here
+        stopped = 0
+        for alpha in STOP_ALPHAS:
+            for beta in STOP_BETAS:
+                params = MLParams(alpha, alpha if beta is None else beta)
+                zs = (-np.linspace(0.0, 10.0 * alpha, 201)[1:]).tolist()
+                many = mittag_leffler._sum_double_many(params, zs)
+                stopped += assert_stopped_passes_fail(params, zs, many)
+        assert stopped > 10_000
+
+    @pytest.mark.parametrize("alpha, beta", [(0.7, 1.0), (0.7, 0.5), (1.5, 1.0)])
+    def test_stopped_passes_without_contour_values(self, monkeypatch, alpha, beta):
+        # every node's contour pair is (None, None): each stopped pass is
+        # summed in full, and mpmath is sized from its cancellation
+        stopped = []
+        kernel = mittag_leffler._sum_double_many
+
+        def spy(params, zs):
+            many = kernel(params, zs)
+            stopped.extend(r for r in many if not isinstance(r, tuple))
+            return many
+
+        monkeypatch.setattr(mittag_leffler, "_sum_double_many", spy)
+        monkeypatch.setattr(mittag_leffler, "_quadrature",
+                            lambda params, z: [(None, None)] * z.size)
+        params = MLParams(alpha, beta)
+        zs = -np.linspace(0.05, 10.0 * alpha, 40)
+        assert mittag_leffler.ml_eval_many(params, zs).tolist() == [
+            ml_eval(params, z) for z in zs.tolist()]
+        assert stopped
+
+    def test_terms_on_the_far_benchmark_curve(self, monkeypatch):
+        # the nu = 0.3 curve on 40/c: 1 947 near nodes, whose full passes
+        # sum 514 060 terms; the kernel sums 29 984 (1 739 passes stopped)
+        sums = []
+        kernel = mittag_leffler._sum_double_many
+
+        def spy(params, zs):
+            many = kernel(params, zs)
+            sums.append((params, np.asarray(zs), many))
+            return many
+
+        monkeypatch.setattr(mittag_leffler, "_sum_double_many", spy)
+        closed_form_curve(KineticProblem(nu=0.3, c=1.0, N_a=1.0),
+                          UniformGrid.from_span(0.0, 40.0, 2000))
+        [(params, zs, many)] = sums
+        assert zs.size == 1947
+        assert sum(r if isinstance(r, int) else r[1] for r in many) == 29_984
+        assert sum(not isinstance(r, tuple) for r in many) == 1739
+        assert sum(mittag_leffler._sum_double(params, z)[1] for z in zs.tolist()) == 514_060
 
 
 # The closed-form curves of the benchmark: (nu, mu or None, window in 1/c),

@@ -208,6 +208,23 @@ class TestWeights:
         with pytest.raises(DomainError, match="leave double range"):
             build_weights(g, nu)
 
+    @pytest.mark.parametrize("nu", [120.0, 150.0])
+    def test_weights_whose_scale_underflows_are_refused(self, nu):
+        # c0 = 8^-nu / Gamma(nu + 2) is subnormal at nu = 120 and 0 at 150,
+        # where every weight was 0 and the integral of 1 read 0.0 in place
+        # of 1/Gamma(151) = 1.75e-263
+        g = UniformGrid.from_span(0.0, 1.0, 8)
+        with pytest.raises(DomainError, match="underflow"):
+            build_weights(g, nu)
+        with pytest.raises(DomainError, match="underflow"):
+            rl_integral_numeric(GridFunction(grid=g, values=np.ones(9)), nu)
+
+    def test_weights_with_a_normal_scale_are_kept(self):
+        # c0 = 5.2e-251 at nu = 100: the integral of 1 at t = 1 is 1/Gamma(101)
+        g = UniformGrid.from_span(0.0, 1.0, 8)
+        out = rl_integral_numeric(GridFunction(grid=g, values=np.ones(9)), 100.0)
+        assert out.values[-1] == pytest.approx(float(mp.rgamma(101)), rel=1e-13)
+
 
 def _test_vectors(n):
     t = np.linspace(0.0, 1.0, n + 1)

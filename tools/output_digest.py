@@ -1,4 +1,4 @@
-"""SHA-256 of the benchmark's outputs: rounds 0 and 1 of every workload.
+"""SHA-256 of the benchmark's outputs and of the evaluator's own scan.
 
     python3 -B tools/output_digest.py [--root CHECKOUT]
 
@@ -7,9 +7,13 @@ the one holding this file) and runs rounds 0 and 1 of each workload, built
 with seed 11, through ``workloads.run``, untimed and unchecked; nothing
 under ``bench/`` is changed.  Every operation's curves (name and float64
 bytes), report CSV and exit code, or the error it raised (type and
-message), feed one SHA-256 per workload, printed one per line; the last
-line digests all of them.  Two trees that print the same lines gave the
-same bits.
+message), feed one SHA-256 per workload, printed one per line.  The line
+``evaluator`` digests a fixed scan of the Mittag-Leffler evaluator: over
+SCAN_PARAMS, ``ml_eval_many`` on a negative-axis curve and on SCAN_Z, and a
+lone ``ml_eval_detailed`` at each z of SCAN_Z, with each value's bits,
+regime and terms, or each refusal's type and message.  The last line
+digests all of them.  Two trees that print the same lines gave the same
+bits.
 """
 
 import os
@@ -20,11 +24,19 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import struct  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROUNDS = 2
 SEED = 11
+# The evaluator scan: every regime (double pass, contour with its far form,
+# mpmath, a certified 0.0) and every refusal (overflow, a pass that does
+# not stop), at alpha below and above 1 and 2.
+SCAN_PARAMS = tuple((alpha, beta) for alpha in (0.3, 0.7, 1.0, 1.5, 2.5)
+                    for beta in (0.5, 1.0, 2.0)) + ((1e-4, 1.0),)
+SCAN_Z = (-1e300, -100.0, -40.0, -12.0, -6.5, -1.6535, -0.5, 0.0,
+          0.5, 0.999, 2.0, 30.0, 800.0)
 
 
 def digest(workloads, name: str) -> str:
@@ -47,6 +59,31 @@ def digest(workloads, name: str) -> str:
     return h.hexdigest()
 
 
+def _outcome(call) -> bytes:
+    """What ``call()`` returned, as bytes, or the program error it raised."""
+    try:
+        return call()
+    except (ArithmeticError, ValueError) as exc:  # the program's error families
+        return f"raised {type(exc).__name__}: {exc}\n".encode()
+
+
+def scan_digest(mittag_leffler) -> str:
+    import numpy as np
+
+    h = hashlib.sha256()
+    for alpha, beta in SCAN_PARAMS:
+        params = mittag_leffler.MLParams(alpha, beta)
+        h.update(f"params {alpha!r} {beta!r}\n".encode())
+        for zs in (-np.linspace(0.0, 12.0 * alpha, 241), np.array(SCAN_Z)):
+            h.update(_outcome(lambda: mittag_leffler.ml_eval_many(params, zs).tobytes()))
+        for z in SCAN_Z:
+            def lone():
+                res = mittag_leffler.ml_eval_detailed(params, z)
+                return struct.pack("<d", res.value) + f" {res.regime} {res.terms}\n".encode()
+            h.update(_outcome(lone))
+    return h.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
@@ -58,9 +95,12 @@ def main(argv=None) -> int:
 
     if Path(fracrelax.__file__).resolve().parent != root / "src" / "fracrelax":
         raise SystemExit(f"error: imported fracrelax from {fracrelax.__file__}")
+    from fracrelax import mittag_leffler
+
     total = hashlib.sha256()
-    for name in workloads.WORKLOADS:
-        line = f"{name} {digest(workloads, name)}"
+    for name in (*workloads.WORKLOADS, "evaluator"):
+        value = scan_digest(mittag_leffler) if name == "evaluator" else digest(workloads, name)
+        line = f"{name} {value}"
         total.update(line.encode())
         print(line, flush=True)
     print(f"all {total.hexdigest()}")
