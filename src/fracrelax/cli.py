@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .grids import MAX_NODES, UniformGrid
 from .kinetics import (
@@ -122,6 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--tol", type=float, default=None, help="tolerance override")
 
     return parser
+
+
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: building one costs milliseconds (argparse
+    makes a help formatter, with a terminal-size lookup, per argument), and
+    parsing leaves it as it was."""
+    return build_parser()
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -259,8 +268,7 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "ml": _cmd_ml,
         "solve": _cmd_solve,

@@ -32,7 +32,8 @@ relative:
    evaluates only the remainder z^-m E[alpha, beta - m alpha](z), whose
    error x^-m scales.  m >= 2 past x = 10 alpha, and on the whole axis the
    remainder has beta - alpha < 3.  Where all of it underflows, a
-   log-space bound below 2^-1075 certifies 0.0.
+   log-space bound below 2^-1075 certifies 0.0, as e^-x does for
+   E[1, 1](-x) past x = 1075 ln 2.
 3. mpmath series, for the few nodes neither regime certifies (for
    z < -10 alpha and alpha < 2 the double pass is not tried).  The working
    precision is sized to the cancellation, from the double pass or from
@@ -113,10 +114,15 @@ _CONTOUR_ROUNDING = 4.0 * _EPS
 # it: 1/math.gamma errs by <= 4.4 eps on 60 003 points of [-4, 170], 1/x^k
 # and the product add ~3 eps.
 _HEAD_ROUNDING = 8.0 * _EPS
-# Rows of one 2-D contour division (at 136 nodes ~70 KB, plus as much for
+# A positive value below e^-_UNDERFLOW_LOG rounds to 0.0: the double
+# 1075 ln 2 lies above the real one, where e^-x = 2^-1075.
+_UNDERFLOW_LOG = 1075.0 * math.log(2.0)
+# Rows of one 2-D contour division (at 136 nodes ~0.28 MB, plus as much for
 # numpy's broadcast buffer); and the nodes of a curve whose contour values
-# are formed and held at once.  More of either raises the peak memory.
-_CONTOUR_ROWS = 32
+# are formed and held at once.  More of either raises the peak memory; 128
+# rows took a sixth less contour time per closed_form round than 32, and
+# 256 or 512 no less than 128.
+_CONTOUR_ROWS = 128
 _CURVE_BLOCK = 512
 
 
@@ -165,6 +171,14 @@ class MLResult:
     value: float
     regime: str  # "series" (double or mpmath) or "contour" (with its far form)
     terms: int  # series terms, or contour nodes
+
+    def __init__(self, value: float, regime: str, terms: int):
+        # one record per node of a curve: filling __dict__ costs half the
+        # generated __init__, which calls object.__setattr__ per field
+        fields = self.__dict__
+        fields["value"] = value
+        fields["regime"] = regime
+        fields["terms"] = terms
 
 
 @lru_cache(maxsize=64)
@@ -518,12 +532,13 @@ def _contour(alpha: float, beta: float, xs: np.ndarray):
     if alpha > 1.0:
         mus, residue, residue_scale, disc = np.array(
             [_pole_terms(alpha, beta, xj) for xj in xs.tolist()]).reshape(n, 4).T
+        groups = [(mu, np.flatnonzero(mus == mu)) for mu in set(mus.tolist())]
     else:
-        mus, residue, residue_scale, disc = np.full(n, _CONTOUR_MU), 0.0, 0.0, 0.0
+        residue = residue_scale = disc = 0.0
+        groups = [(_CONTOUR_MU, np.arange(n))]
     total, scale = np.empty(n), np.empty(n)
     nodes = np.empty(n, dtype=int)
-    for mu in set(mus.tolist()):
-        at = np.flatnonzero(mus == mu)
+    for mu, at in groups:
         c, e = _contour_nodes(alpha, beta, mu)
         nodes[at] = c.size
         q = np.empty((min(at.size, _CONTOUR_ROWS), c.size), dtype=complex)
@@ -593,7 +608,9 @@ def _quadrature(params: MLParams, z: np.ndarray) -> list:
     operations in the order of the loop over one x.  Where the heads'
     magnitudes plus x^-m (|tail| + error), summed in logs, stay below
     2^-1075, E rounds to 0.0 and that is certified, though every term
-    underflowed.  An uncertified value yields None, with the digits the
+    underflowed; so it is for E[1, 1](-x) = e^-x past x = 1075 ln 2.  The
+    certified rows' records are made in one pass; only the rest take the
+    per-row loop.  An uncertified value yields None, with the digits the
     series cancels by (from its peak term and the contour's value) in
     ``lost``: next to a zero of E the double pass's value is rounding
     noise, while the contour's still has the right magnitude.
@@ -626,17 +643,20 @@ def _quadrature(params: MLParams, z: np.ndarray) -> list:
                 err = (tail_err + 2.0 * _EPS * np.abs(tail)) * np.abs(zk) + _HEAD_ROUNDING * heads
             # a value of 0 makes the ratio inf or nan, which fails the test
             certified = np.isfinite(value) & (err / np.abs(value) <= _TARGET_REL)
-        rows = zip(at.tolist(), certified.tolist(), value.tolist(), xm.tolist(), nodes.tolist())
-        for i, (j, ok, v, xi, count) in enumerate(rows):
-            if ok:
-                out[j] = (MLResult(v, "contour", count), None)
-                continue
+        left = [] if all(certified.tolist()) else np.flatnonzero(~certified).tolist()
+        keep = certified if left else slice(None)  # no mask copies where all certify
+        for j, v, count in zip(at[keep].tolist(), value[keep].tolist(), nodes[keep].tolist()):
+            out[j] = (MLResult(v, "contour", count), None)
+        for i in left:
+            j, v, xi, count = at[i].item(), value[i].item(), xm[i].item(), nodes[i].item()
             if m > 0:
                 lx = math.log(xi)
                 bound = np.logaddexp.reduce([lc - k * lx for k, lc in enumerate(logs, 1)]
                                             + [math.log(abs(float(tail[i])) + float(tail_err[i]))
                                                - m * lx])
-                if bound < -1075.0 * math.log(2.0):
+                if alpha == 1.0 and beta == 1.0:  # E[1, 1](-x) = e^-x
+                    bound = min(bound, -xi)
+                if bound < -_UNDERFLOW_LOG:
                     out[j] = (MLResult(0.0, "contour", count), None)
                     continue
             if v != 0.0 and math.isfinite(v):  # inf: x^-m overflowed
@@ -652,11 +672,11 @@ def _summed(params: MLParams, z: np.ndarray):
     less) and ``_overflows`` does not refuse z, and certified its
     ``_certifies`` verdict, formed for the curve at once; quad is its
     ``_quadrature`` pair where z is finite and no pass certifies, formed a
-    _CURVE_BLOCK of nodes at a time.  A pass the kernel stopped is None,
-    unless its quad is (None, None): then it is summed in full, as the
-    mpmath pass's precision is sized from it.  A part not formed is None,
-    and no refusal is raised here: ``ml_eval_detailed`` raises it at the
-    node.
+    _CURVE_BLOCK of nodes at a time and yielded from that block's lists.
+    A pass the kernel stopped is None, unless its quad is (None, None):
+    then it is summed in full, as the mpmath pass's precision is sized
+    from it.  A part not formed is None, and no refusal is raised here:
+    ``ml_eval_detailed`` raises it at the node.
     """
     finite = np.isfinite(z)
     to_sum = finite & _near(params, z)
@@ -664,32 +684,32 @@ def _summed(params: MLParams, z: np.ndarray):
         to_sum[j] = not _overflows(params, z[j].item())
     near = np.flatnonzero(to_sum)
     passes = [None] * z.size
-    judged, stopped = [], []  # nodes whose pass completed, or was stopped
+    judged, done, stopped = [], [], []  # nodes whose pass completed, its tuple; stopped
     sums = (_sum_double_many(params, z[near]) if near.size > 1
             else [_sum_double(params, zj) for zj in z[near].tolist()])
     for j, node_sums in zip(near.tolist(), sums):
-        if isinstance(node_sums, tuple):
+        if node_sums.__class__ is tuple:
             passes[j] = node_sums
             judged.append(j)
+            done.append(node_sums)
         else:
             stopped.append(j)
     certified = np.zeros(z.size, dtype=bool)
     if judged:
-        certified[judged] = _certifies(*zip(*(passes[j] for j in judged)))
+        certified[judged] = _certifies(*zip(*done))
     tried = finite & ~certified
-    quads: dict = {}
     for lo in range(0, z.size, _CURVE_BLOCK):
         hi = min(lo + _CURVE_BLOCK, z.size)
-        quads.clear()  # the last block's, before this block's are formed
-        at = lo + np.flatnonzero(tried[lo:hi])
+        quads = [None] * (hi - lo)
+        at = np.flatnonzero(tried[lo:hi])
         if at.size:
-            quads.update(zip(at.tolist(), _quadrature(params, z[at])))
+            for i, quad in zip(at.tolist(), _quadrature(params, z[lo + at])):
+                quads[i] = quad
         for j in stopped[bisect_left(stopped, lo):bisect_left(stopped, hi)]:
-            if quads[j] == (None, None):
+            if quads[j - lo] == (None, None):
                 passes[j] = _sum_double(params, z[j].item())
                 certified[j] = _certifies(*passes[j])
-        for j in range(lo, hi):
-            yield passes[j], certified[j], quads.get(j)
+        yield from zip(passes[lo:hi], certified[lo:hi].tolist(), quads)
 
 
 def ml_eval_detailed(params: MLParams, z: float, summed=None) -> MLResult:
@@ -735,7 +755,5 @@ def ml_eval_many(params: MLParams, zs) -> np.ndarray:
     curve's double passes and contour values, each node then passes
     ``ml_eval_detailed`` once, and the first node refused raises."""
     z = np.array(zs, dtype=float)
-    values = np.empty(z.size)
-    for j, (zj, summed) in enumerate(zip(z.tolist(), _summed(params, z))):
-        values[j] = ml_eval_detailed(params, zj, summed).value
-    return values
+    return np.array([ml_eval_detailed(params, zj, summed).value
+                     for zj, summed in zip(z.tolist(), _summed(params, z))], dtype=float)

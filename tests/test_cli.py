@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from fracrelax import verification
-from fracrelax.cli import main
+from fracrelax.cli import build_parser, main
 from fracrelax.grids import MAX_NODES, UniformGrid
 from fracrelax.kinetics import KineticProblem, closed_form_curve
 from fracrelax.verification import format_real, run_sweep
@@ -243,9 +243,9 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith("error: StepSingularError: ")
 
     @pytest.mark.parametrize("args, error", [
-        # E[1](-x) is out of the evaluator's reach from x ~ 1285 on; n = 2
-        # reaches x = 5e4 at the first node, refused before any mpmath pass
-        (["--nu", "1", "--c", "1", "--T", "100000", "--n", "2"], "SeriesConvergenceError"),
+        # E[2](-x) = cos(sqrt(x)) cancels past the mpmath cap at x = 2.5e9,
+        # the first node of n = 2, refused before any mpmath pass
+        (["--nu", "2", "--c", "1", "--T", "100000", "--n", "2"], "SeriesConvergenceError"),
         (["--nu", "1.5", "--c", "1", "--T", "1000", "--n", "200", "--method", "oracle"],
          "UnstableResolventError"),
         (["--nu", "1.95", "--c", "1000", "--T", "5", "--n", "300", "--method", "oracle"],
@@ -331,6 +331,28 @@ class TestVerifyCommand:
         assert captured.err == (
             f"error: grid has 1048576 steps, above the cap of {MAX_NODES}\n"
         )
+
+
+class TestOneParserPerProcess:
+    """``main`` reuses one parser; a call after another still sees every
+    default, as a call made alone does."""
+
+    @pytest.mark.parametrize("first, args", [
+        (["--tol", "1"], ["verify", "--nu", "0.5", "--c", "1", "--n", "80", "--levels", "2"]),
+        (["--method", "neumann:3", "--Na", "2", "--T", "3"],
+         ["solve", "--nu", "0.5", "--c", "1", "--n", "40"]),
+    ])
+    def test_second_call_sees_the_defaults(self, tmp_path, first, args):
+        alone = tmp_path / "alone.csv"
+        res = run_cli([*args, "--out", str(alone)])
+        assert main([*args, *first, "--out", str(tmp_path / "first.csv")]) == 0
+        second = tmp_path / "second.csv"
+        assert main([*args, "--out", str(second)]) == res.returncode
+        assert second.read_bytes() == alone.read_bytes()
+        assert (tmp_path / "first.csv").read_bytes() != alone.read_bytes()
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
 
 
 class TestSweepCommand:

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
+import time
 
 import mpmath as mp
 import numpy as np
@@ -18,6 +21,7 @@ from fracrelax.kinetics import KineticProblem, closed_form_curve
 from fracrelax.mittag_leffler import (
     MLOverflowError,
     MLParams,
+    MLResult,
     SeriesConvergenceError,
     ml_eval,
     ml_eval_detailed,
@@ -398,6 +402,32 @@ class TestDoublePassCertificate:
 CONTOUR_PAIRS = [(0.7, 0.5), (0.5, 0.7), (0.7, 1.5), (0.5, 1.3), (0.5, 0.5),
                  (1.0, 1.0), (1.0, 2.0), (0.3, 1.5), (0.6, 1.5), (1.2, 0.8),
                  (1.2, 1.0), (1.5, 1.0)]
+
+
+class TestResultRecord:
+    """``MLResult`` fills its fields itself, and stays a frozen dataclass."""
+
+    def test_is_frozen(self):
+        res = MLResult(0.5, "series", 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.value = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del res.terms
+        assert res == MLResult(0.5, "series", 3)
+
+    def test_equal_fields_hash_equal(self):
+        a, b = MLResult(0.25, "contour", 136), MLResult(value=0.25, regime="contour", terms=136)
+        assert a == b and hash(a) == hash(b)
+        assert a != MLResult(0.25, "contour", 137)
+        assert len({a, b, MLResult(0.25, "series", 136)}) == 2
+
+    def test_replace_pickle_and_repr(self):
+        res = ml_eval_detailed(MLParams(0.5), -3.0)
+        assert dataclasses.replace(res, terms=7) == MLResult(res.value, res.regime, 7)
+        assert dataclasses.replace(res) == res
+        assert pickle.loads(pickle.dumps(res)) == res
+        assert repr(MLResult(0.5, "series", 3)) == "MLResult(value=0.5, regime='series', terms=3)"
+        assert [f.name for f in dataclasses.fields(MLResult)] == ["value", "regime", "terms"]
 
 
 class TestContourRegime:
@@ -798,9 +828,11 @@ class TestBatchedContour:
 
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9, 1.0, 1.2, 1.5, 1.8, 1.99])
     def test_rows_equal_single_calls(self, alpha):
-        # 203 rows, not a multiple of the 2-D block; for alpha > 1 the poles
-        # cross the contour in this range, where mu is lowered
+        # 203 rows, past one 2-D block and not a multiple of it; for
+        # alpha > 1 the poles cross the contour in this range, where mu is
+        # lowered
         xs = np.geomspace(1e-3, 10.0 * alpha, 203)
+        assert xs.size > mittag_leffler._CONTOUR_ROWS and xs.size % mittag_leffler._CONTOUR_ROWS
         for beta in sorted({alpha, 1.0, alpha + 0.5, alpha - 2.0}):
             value, err, nodes = mittag_leffler._contour(alpha, beta, xs)
             singles = [self.single(alpha, beta, x) for x in xs.tolist()]
@@ -831,6 +863,18 @@ class TestBatchedContour:
         res, lost = mittag_leffler._quadrature(params, np.array([-1000.0]))[0]
         assert res.value == 0.0 and res.regime == "contour" and lost is None
         assert ml_eval_detailed(params, -1000.0) == res
+
+    def test_exponential_underflow_to_zero_is_certified(self):
+        # E[1](-x) = e^-x rounds to 0.0 past x = 1075 ln 2 ~ 745.13
+        params = MLParams(1.0)
+        for z in (-760.0, -1000.0, -1e5):
+            start = time.perf_counter()
+            res = ml_eval_detailed(params, z)
+            assert time.perf_counter() - start < 0.1, z
+            assert res.value == 0.0 and res.regime == "contour", z
+        assert mittag_leffler.ml_eval_many(params, [-760.0, -1000.0]).tolist() == [0.0, 0.0]
+        # the double 1075 ln 2 lies above the real one: e^-x rounds to 0.0 there
+        assert float(mp.exp(-mp.mpf(mittag_leffler._UNDERFLOW_LOG))) == 0.0
 
     def test_each_node_passes_the_detailed_evaluator_once(self, monkeypatch):
         seen = []
