@@ -34,16 +34,17 @@ relative:
    remainder has beta - alpha < 3.  Where all of it underflows, a
    log-space bound below 2^-1075 certifies 0.0, as e^-x does for
    E[1, 1](-x) past x = 1075 ln 2.
-3. mpmath series, for the few nodes neither regime certifies (for
-   z < -10 alpha and alpha < 2 the double pass is not tried).  The working
-   precision is sized to the cancellation, from the double pass or from
-   the peak term and the uncertified contour value, and doubled until a
-   pass keeps 17 significant digits; a pass stops at a term below
-   10^-(dps-3) of its partial sum, and forms alpha k + beta in mpmath.
+3. Extended-precision series, for the few nodes neither regime certifies
+   (for z < -10 alpha and alpha < 2 the double pass is not tried).  The
+   working precision is sized to the cancellation, from the double pass or
+   from the peak term and the uncertified contour value, and doubled until
+   a pass keeps 17 significant digits.  A pass sums to a term below
+   10^-(dps-3) of its partial sum on Python integers, rounded as mpf
+   arithmetic rounds, with 1/Gamma(alpha k + beta) from mpmath.
    Past _MAX_DPS digits SeriesConvergenceError is raised.  One estimate,
    ``_peak_term``, gives that peak term and the overflow rule
    (``_overflows``): for z > 0, E exceeds double range where its peak term
-   does, which is refused before any pass, or where its mpmath value does.
+   does, which is refused before any pass, or where a pass's value does.
 
 One staging, ``_summed``, forms regimes 1 and 2 for a curve, and a lone
 value is the one-node curve: two or more double passes are summed in
@@ -341,7 +342,7 @@ def _sum_double_many(params: MLParams, zs: np.ndarray) -> list:
             np.fmax(M, AT, out=M)
             ZK *= Z
             if k >= grows:
-                np.isinf(ZK, out=D)
+                np.isinf(ZK, out=D)  # D stays contiguous: numpy 2.4.6 misflags strided bool outs
                 js = np.flatnonzero(D)
                 if js.size:
                     finish(js, [(None, k + 1, m) for m in M[js].tolist()])
@@ -350,44 +351,73 @@ def _sum_double_many(params: MLParams, zs: np.ndarray) -> list:
     return results
 
 
-@lru_cache(maxsize=400_000)
-def _mp_rgamma(alpha: float, beta: float, k: int, prec: int):
-    """1/Gamma(alpha k + beta) with the argument formed exactly in mpmath,
-    at ``prec`` bits, the working precision of the calling pass."""
-    return mp.rgamma(mp.mpf(alpha) * k + beta)
+@lru_cache(maxsize=32)
+def _mp_coefficients(alpha: float, beta: float, prec: int) -> dict:
+    """k -> (mantissa, exponent) of 1/Gamma(alpha k + beta) > 0 at ``prec``
+    bits, filled in by the passes; a dict, so threads that race on k store one entry."""
+    return {}
+
+
+def _mp_rgamma(alpha: float, beta: float, k: int) -> tuple[int, int]:
+    return mp.rgamma(mp.mpf(alpha) * k + beta)._mpf_[1:3]  # at the pass's precision
 
 
 def _sum_mp(params: MLParams, z: float, dps: int):
     """Extended-precision pass; returns (value, terms, digits_lost).
 
-    A term below 10^-(dps-3) of the partial sum stops the pass: with heavy
-    cancellation the partial sums pass through magnitudes far above the
-    result, and a cut at an absolute level, or at _SERIES_TOL, would truncate
-    a tail that can exceed the result itself.
+    A term below 10^-(dps-3) of the partial sum stops the pass (compared
+    exactly): with heavy cancellation the partial sums pass through
+    magnitudes far above the result, and a cut at an absolute level, or at
+    _SERIES_TOL, would truncate a tail that can exceed the result itself.
+    The loop is mpmath's s += z^k c_k on Python integers: z^k, each term and
+    each sum is a mantissa of at most prec bits times 2^exponent (unbounded),
+    rounded to nearest, ties to even, as mpf arithmetic rounds; so the value
+    (inf past double range) and log10(max |term| / |s|), formed in mpmath
+    once, have the mpf loop's bits, at a quarter of its cost.
     """
     alpha, beta = params.alpha, params.beta
     with mp.workdps(dps):
-        zm = mp.mpf(z)
-        s = mp.mpf(0)
-        zk = mp.mpf(1)
-        max_t = mp.mpf(0)
-        stop = mp.mpf(10) ** (-(dps - 3))
         prec = mp.mp.prec
+        coeffs = _mp_coefficients(alpha, beta, prec)
+        frac, exp = math.frexp(abs(z))
+        zm, ze = int(frac * 2.0**53), exp - 53  # |z| exactly
+        flips, scale = z < 0.0, 10 ** (dps - 3)
+        zkm, zke = 1, 0  # |z|^k
+        sm = se = mm = me = 0  # the signed partial sum; the largest |term|
         for k in range(_MAX_TERMS + 1):
-            term = zk * _mp_rgamma(alpha, beta, k, prec)
-            if k >= 1 and abs(term) < stop * abs(s):
-                lost = (float(mp.log10(max_t / abs(s)))
-                        if s != 0 and max_t > 0 else float(dps))
-                return float(s), k, max(lost, 0.0)
-            s += term
-            at = abs(term)
-            if at > max_t:
-                max_t = at
-            zk *= zm
-    raise SeriesConvergenceError(
-        f"series for E[{alpha}, {beta}]({z}) did not satisfy the stopping "
-        f"rule within {_MAX_TERMS} terms at {dps} digits"
-    )
+            if (c := coeffs.get(k)) is None:
+                c = coeffs[k] = _mp_rgamma(alpha, beta, k)
+            cm, ce = c
+            tm, te = zkm * cm, zke + ce  # |term|
+            # to prec bits, ties to even: add 2^(n-1) - 1 and the lowest kept bit, cut n
+            n = tm.bit_length() - prec
+            if n > 0:
+                tm, te = (tm + (1 << n - 1) - 1 + (tm >> n & 1)) >> n, te + n
+            d = te - se
+            if k and ((tm * scale) << d < abs(sm) if d >= 0 else tm * scale < abs(sm) << -d):
+                break
+            t = -tm if flips and k & 1 else tm
+            if sm:
+                sm, se = ((sm << -d) + t, te) if d <= 0 else (sm + (t << d), se)
+                n = sm.bit_length() - prec
+                if n > 0:
+                    sm, se = (sm + (1 << n - 1) - 1 + (sm >> n & 1)) >> n, se + n
+            else:
+                sm, se = t, te
+            d = te - me  # at k = 0, mm = 0 and d <= 0 (c_0 < 2)
+            if (tm << d > mm) if d >= 0 else (tm > mm << -d):
+                mm, me = tm, te
+            zkm, zke = zkm * zm, zke + ze
+            n = zkm.bit_length() - prec
+            if n > 0:
+                zkm, zke = (zkm + (1 << n - 1) - 1 + (zkm >> n & 1)) >> n, zke + n
+        else:
+            raise SeriesConvergenceError(
+                f"series for E[{alpha}, {beta}]({z}) did not satisfy the stopping "
+                f"rule within {_MAX_TERMS} terms at {dps} digits")
+        s = mp.mpf((sm, se))
+        lost = float(mp.log10(mp.mpf((mm, me)) / abs(s))) if sm else float(dps)
+        return float(s), k, max(lost, 0.0)
 
 
 def _peak_term(params: MLParams, x: float) -> tuple[int, float]:
@@ -439,13 +469,13 @@ def _certifies(res, k, max_mag):
 
 
 def _series_mp(params: MLParams, z: float, lost: float) -> MLResult:
-    """mpmath passes, the first with ``lost`` digits of cancellation headroom.
+    """``_sum_mp`` passes, the first with ``lost`` digits of headroom.
 
     A pass left with fewer than 17 significant digits reads about its own
     precision as lost, so the next one works at max(lost + 27, 2 dps)
     digits.  Returns the value accurate to ~_TARGET_REL relative, or raises
     SeriesConvergenceError once the precision would pass _MAX_DPS, and
-    MLOverflowError where the value rounds to inf.
+    MLOverflowError where a pass's integer sum rounds to inf as a double.
     """
     dps = max(25, int(min(_MAX_DPS + 1.0, 17 + lost + 8)))  # lost may be inf
     while dps <= _MAX_DPS:

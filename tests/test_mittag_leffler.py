@@ -493,6 +493,128 @@ def test_power_source_curves_rarely_reach_mpmath(monkeypatch):
     assert counts[0.7, 0.5] <= 40
 
 
+def mpf_pass(params: MLParams, z: float, dps: int):
+    """The mpf loop ``_sum_mp`` replaced, kept as its reference: every
+    product and sum an mpf rounded at the working precision."""
+    alpha, beta = params.alpha, params.beta
+    with mp.workdps(dps):
+        zm = mp.mpf(z)
+        s = mp.mpf(0)
+        zk = mp.mpf(1)
+        max_t = mp.mpf(0)
+        stop = mp.mpf(10) ** (-(dps - 3))
+        for k in range(mittag_leffler._MAX_TERMS + 1):
+            term = zk * mp.rgamma(mp.mpf(alpha) * k + beta)
+            if k >= 1 and abs(term) < stop * abs(s):
+                lost = (float(mp.log10(max_t / abs(s)))
+                        if s != 0 and max_t > 0 else float(dps))
+                return float(s), k, max(lost, 0.0)
+            s += term
+            at = abs(term)
+            if at > max_t:
+                max_t = at
+            zk *= zm
+    raise SeriesConvergenceError(
+        f"series for E[{alpha}, {beta}]({z}) did not satisfy the stopping "
+        f"rule within {mittag_leffler._MAX_TERMS} terms at {dps} digits"
+    )
+
+
+class TestIntegerPass:
+    """``_sum_mp`` sums on Python integers and gives the mpf loop's
+    (value, terms, lost) bit for bit, at every precision a node's
+    escalation reaches."""
+
+    @staticmethod
+    def passes(monkeypatch, call):
+        """The (params, z, dps) of every pass ``call()`` makes."""
+        seen = []
+        real = mittag_leffler._sum_mp
+
+        def spy(params, z, dps):
+            seen.append((params, z, dps))
+            return real(params, z, dps)
+
+        monkeypatch.setattr(mittag_leffler, "_sum_mp", spy)
+        call()
+        monkeypatch.setattr(mittag_leffler, "_sum_mp", real)
+        return seen
+
+    @staticmethod
+    def assert_same_bits(seen):
+        for params, z, dps in seen:
+            got, want = mittag_leffler._sum_mp(params, z, dps), mpf_pass(params, z, dps)
+            bits = [[float(v).hex() for v in res] for res in (got, want)]
+            assert bits[0] == bits[1], (params, z, dps)
+            assert got[1].__class__ is int
+
+    def test_nodes_next_to_the_zero_of_the_benchmark_curve(self, monkeypatch):
+        # the 27 nodes of E[0.7, 0.5] a closed_form round sends to mpmath
+        p = KineticProblem(nu=0.7, c=1.0, N_a=1.0, mu=0.5)
+        seen = self.passes(monkeypatch, lambda: closed_form_curve(
+            p, UniformGrid.from_span(0.0, 5.0, 2000)))
+        assert len({z for _, z, _ in seen}) == 27
+        assert all(1.6358 <= -z <= 1.6726 for _, z, _ in seen)
+        self.assert_same_bits(seen)
+
+    @pytest.mark.parametrize("alpha, beta, z, count", [
+        (1.0, 1.0, -40.0, 1),
+        (1.0, 1.0, -100.0, 2),  # the first pass keeps ~3.5 digits
+        (0.5, 6.0, -0.05, 1),
+        (0.5, 8.0, -0.85, 1),
+        (1e-10, 1e300, -1e-12, 1),  # coefficients near 10^-3e302
+        (1.0, 1.0, 400.0, 1),
+    ])
+    def test_escalations(self, monkeypatch, alpha, beta, z, count):
+        params = MLParams(alpha, beta)
+        seen = self.passes(monkeypatch, lambda: ml_eval(params, z))
+        assert len(seen) == count
+        self.assert_same_bits(seen)
+
+    @pytest.mark.parametrize("alpha, beta, z", [(1.0, 1.0, -100.0), (0.7, 0.5, -1.6535),
+                                                (0.5, 8.0, -0.05), (0.5, 1.0, 20.0)])
+    def test_escalations_from_no_headroom(self, monkeypatch, alpha, beta, z):
+        params = MLParams(alpha, beta)
+        seen = self.passes(monkeypatch, lambda: mittag_leffler._series_mp(params, z, 0.0))
+        assert seen
+        self.assert_same_bits(seen)
+
+    def test_value_past_double_range(self, monkeypatch):
+        params = MLParams(1.0, 1.0)
+        seen = self.passes(
+            monkeypatch, lambda: pytest.raises(MLOverflowError, ml_eval, params, 710.0))
+        assert [dps for *_, dps in seen] == [25]
+        self.assert_same_bits(seen)
+        assert mittag_leffler._sum_mp(params, 710.0, 25)[0] == math.inf
+
+    @pytest.mark.parametrize("alpha, z", [(1.0, -30.0), (1e-320, -1.0)])
+    def test_pass_that_does_not_stop(self, monkeypatch, alpha, z):
+        # E[1e-320, 1](-1) = 1/2 is a contour value (TestRegimes); its
+        # series is ~sum (-1)^k, which no term count stops
+        monkeypatch.setattr(mittag_leffler, "_MAX_TERMS", 60)
+        params = MLParams(alpha, 1.0)
+        with pytest.raises(SeriesConvergenceError) as got:
+            mittag_leffler._sum_mp(params, z, 40)
+        with pytest.raises(SeriesConvergenceError) as want:
+            mpf_pass(params, z, 40)
+        assert str(got.value) == str(want.value)
+        assert "within 60 terms at 40 digits" in str(got.value)
+
+    def test_coefficient_table_is_shared(self):
+        params = MLParams(0.7, 0.5)
+        mittag_leffler._sum_mp(params, -1.6535, 29)
+        with mp.workdps(29):
+            prec = mp.mp.prec
+        table = mittag_leffler._mp_coefficients(0.7, 0.5, prec)
+        size = len(table)
+        assert sorted(table) == list(range(size)) and size >= 50
+        mittag_leffler._sum_mp(params, -1.6, 29)
+        assert mittag_leffler._mp_coefficients(0.7, 0.5, prec) is table
+        assert len(table) == size  # a shorter pass computes nothing new
+        with mp.workdps(29):
+            assert all(mp.mpf(c) == mp.rgamma(mp.mpf(0.7) * k + 0.5) for k, c in table.items())
+
+
 # alpha on [0.1, 1.9] and the beta of every benchmark and identity curve
 SKIP_ALPHAS = [round(0.1 * i, 1) for i in range(1, 20)]
 

@@ -10,10 +10,10 @@ bytes), report CSV and exit code, or the error it raised (type and
 message), feed one SHA-256 per workload, printed one per line.  The line
 ``evaluator`` digests a fixed scan of the Mittag-Leffler evaluator: over
 SCAN_PARAMS, ``ml_eval_many`` on a negative-axis curve and on SCAN_Z, and a
-lone ``ml_eval_detailed`` at each z of SCAN_Z, with each value's bits,
-regime and terms, or each refusal's type and message.  The last line
-digests all of them.  Two trees that print the same lines gave the same
-bits.
+lone ``ml_eval_detailed`` at each z of SCAN_Z and at each point of
+SCAN_MP, with each value's bits, regime and terms, or each refusal's type
+and message.  The last line digests all of them.  Two trees that print the
+same lines gave the same bits.
 """
 
 import os
@@ -37,6 +37,11 @@ SCAN_PARAMS = tuple((alpha, beta) for alpha in (0.3, 0.7, 1.0, 1.5, 2.5)
                     for beta in (0.5, 1.0, 2.0)) + ((1e-4, 1.0),)
 SCAN_Z = (-1e300, -100.0, -40.0, -12.0, -6.5, -1.6535, -0.5, 0.0,
           0.5, 0.999, 2.0, 30.0, 800.0)
+# (alpha, beta, z) that take the mpmath series: at |z| <= 1 the double
+# pass's estimate does not certify these E[0.5, 6] and E[0.5, 8] values,
+# well below 1; E[1](-300) takes two passes, at 177 and 354 digits.
+SCAN_MP = tuple((0.5, beta, z) for beta in (6.0, 8.0) for z in (-0.05, -0.3, -0.85)) + (
+    (1.0, 1.0, -300.0),)
 
 
 def digest(workloads, name: str) -> str:
@@ -67,6 +72,11 @@ def _outcome(call) -> bytes:
         return f"raised {type(exc).__name__}: {exc}\n".encode()
 
 
+def _lone(mittag_leffler, params, z) -> bytes:
+    res = mittag_leffler.ml_eval_detailed(params, z)
+    return struct.pack("<d", res.value) + f" {res.regime} {res.terms}\n".encode()
+
+
 def scan_digest(mittag_leffler) -> str:
     import numpy as np
 
@@ -77,10 +87,11 @@ def scan_digest(mittag_leffler) -> str:
         for zs in (-np.linspace(0.0, 12.0 * alpha, 241), np.array(SCAN_Z)):
             h.update(_outcome(lambda: mittag_leffler.ml_eval_many(params, zs).tobytes()))
         for z in SCAN_Z:
-            def lone():
-                res = mittag_leffler.ml_eval_detailed(params, z)
-                return struct.pack("<d", res.value) + f" {res.regime} {res.terms}\n".encode()
-            h.update(_outcome(lone))
+            h.update(_outcome(lambda: _lone(mittag_leffler, params, z)))
+    for alpha, beta, z in SCAN_MP:
+        params = mittag_leffler.MLParams(alpha, beta)
+        h.update(f"mp {alpha!r} {beta!r} {z!r}\n".encode())
+        h.update(_outcome(lambda: _lone(mittag_leffler, params, z)))
     return h.hexdigest()
 
 
