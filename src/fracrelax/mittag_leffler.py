@@ -27,20 +27,20 @@ relative:
    Numer. Anal. 53, 2015), per node in scalar math.  The certificate is the
    rounding of the sum and the poles' discretisation error; it fails next
    to a zero of E (e.g. E[0.7, 0.5] at x = 1.6535) and where E is
-   exponentially small (alpha = beta = 1 beyond x ~ 8).  The far form
+   exponentially small (alpha = beta = 1 beyond x ~ 8), where a node takes
+   E[1, 1](-x) = e^-x from math.exp, within one ulp.  The far form
    splits m <= _MAX_TERMS algebraic terms off exactly; the contour
    evaluates only the remainder z^-m E[alpha, beta - m alpha](z), whose
    error x^-m scales.  m >= 2 past x = 10 alpha, and on the whole axis the
    remainder has beta - alpha < 3.  Where all of it underflows, a
-   log-space bound below 2^-1075 certifies 0.0, as e^-x does for
-   E[1, 1](-x) past x = 1075 ln 2.
+   log-space bound below 2^-1075 certifies 0.0.
 3. Extended-precision series, for the few nodes neither regime certifies
    (for z < -10 alpha and alpha < 2 the double pass is not tried).  The
-   working precision is sized to the cancellation, from the double pass or
-   from the peak term and the uncertified contour value, and doubled until
-   a pass keeps 17 significant digits.  A pass sums to a term below
-   10^-(dps-3) of its partial sum on Python integers, rounded as mpf
-   arithmetic rounds, with 1/Gamma(alpha k + beta) from mpmath.
+   first pass's working precision is sized to the cancellation the peak
+   term shows (``_peak_digits``), and doubled until a pass keeps 17
+   significant digits.  A pass sums to a term below 10^-(dps-3) of its
+   partial sum on Python integers, rounded as mpf arithmetic rounds, with
+   1/Gamma(alpha k + beta) from mpmath.
    Past _MAX_DPS digits SeriesConvergenceError is raised.  One estimate,
    ``_peak_term``, gives that peak term and the overflow rule
    (``_overflows``): for z > 0, E exceeds double range where its peak term
@@ -56,7 +56,6 @@ the bits of the scalar forms; ``ml_eval_detailed`` reads its stage once.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -262,9 +261,7 @@ def _sum_double_many(params: MLParams, zs: np.ndarray) -> list:
         0 < E <= E(0) = 1/Gamma(beta) = T_0, and a pass whose value is
         within 1% of T_0 of E has _TARGET_REL |s_m| < e_k max(M_k, 1).
 
-    ``_summed`` sums a stopped pass in full with ``_sum_double`` where the
-    contour leaves its node with neither a value nor a digit count.  A pass
-    at -10 alpha <= z < 0, alpha < 2, stops by itself long before
+    A pass at -10 alpha <= z < 0, alpha < 2, stops by itself long before
     _MAX_TERMS (its terms there fall below e^-5000), so the rule never
     stops one that ``ml_eval_detailed`` would refuse.
     """
@@ -469,7 +466,8 @@ def _certifies(res, k, max_mag):
 
 
 def _series_mp(params: MLParams, z: float, lost: float) -> MLResult:
-    """``_sum_mp`` passes, the first with ``lost`` digits of headroom.
+    """``_sum_mp`` passes, the first with headroom for ``lost`` digits of
+    cancellation (``ml_eval_detailed`` gives ``_peak_digits``).
 
     A pass left with fewer than 17 significant digits reads about its own
     precision as lost, so the next one works at max(lost + 27, 2 dps)
@@ -626,7 +624,7 @@ def _heads(params: MLParams):
 
 def _quadrature(params: MLParams, z: np.ndarray) -> list:
     """The certified contour value at each z < 0 of the array ``z``, as a
-    list of pairs (MLResult or None, lost).
+    list of MLResult, None where none certifies.
 
     For m > 0, E[a, b](z) = 1/Gamma(b) + z E[a, a + b](z) applied m times:
 
@@ -638,16 +636,13 @@ def _quadrature(params: MLParams, z: np.ndarray) -> list:
     operations in the order of the loop over one x.  Where the heads'
     magnitudes plus x^-m (|tail| + error), summed in logs, stay below
     2^-1075, E rounds to 0.0 and that is certified, though every term
-    underflowed; so it is for E[1, 1](-x) = e^-x past x = 1075 ln 2.  The
-    certified rows' records are made in one pass; only the rest take the
-    per-row loop.  An uncertified value yields None, with the digits the
-    series cancels by (from its peak term and the contour's value) in
-    ``lost``: next to a zero of E the double pass's value is rounding
-    noise, while the contour's still has the right magnitude.
+    underflowed.  At alpha = beta = 1 an uncertified row takes
+    E[1, 1](-x) = e^-x, which math.exp gives within one ulp.  The certified
+    rows' records are made in one pass; only the rest take the per-row loop.
     """
     alpha, beta = params.alpha, params.beta
     x = -z
-    out = [(None, None)] * x.size
+    out = [None] * x.size
     least = _heads(params)
     if least is None:
         return out
@@ -676,21 +671,18 @@ def _quadrature(params: MLParams, z: np.ndarray) -> list:
         left = [] if all(certified.tolist()) else np.flatnonzero(~certified).tolist()
         keep = certified if left else slice(None)  # no mask copies where all certify
         for j, v, count in zip(at[keep].tolist(), value[keep].tolist(), nodes[keep].tolist()):
-            out[j] = (MLResult(v, "contour", count), None)
+            out[j] = MLResult(v, "contour", count)
         for i in left:
-            j, v, xi, count = at[i].item(), value[i].item(), xm[i].item(), nodes[i].item()
-            if m > 0:
+            j, xi, count = at[i].item(), xm[i].item(), nodes[i].item()
+            if alpha == 1.0 and beta == 1.0:  # E[1, 1](-x) = e^-x
+                out[j] = MLResult(math.exp(-xi), "contour", count)
+            elif m > 0:
                 lx = math.log(xi)
                 bound = np.logaddexp.reduce([lc - k * lx for k, lc in enumerate(logs, 1)]
                                             + [math.log(abs(float(tail[i])) + float(tail_err[i]))
                                                - m * lx])
-                if alpha == 1.0 and beta == 1.0:  # E[1, 1](-x) = e^-x
-                    bound = min(bound, -xi)
                 if bound < -_UNDERFLOW_LOG:
-                    out[j] = (MLResult(0.0, "contour", count), None)
-                    continue
-            if v != 0.0 and math.isfinite(v):  # inf: x^-m overflowed
-                out[j] = (None, _peak_digits(params, -xi) - math.log10(abs(v)))
+                    out[j] = MLResult(0.0, "contour", count)
     return out
 
 
@@ -701,12 +693,10 @@ def _summed(params: MLParams, z: np.ndarray):
     (two or more in lockstep, a lone one in the scalar loop, which costs
     less) and ``_overflows`` does not refuse z, and certified its
     ``_certifies`` verdict, formed for the curve at once; quad is its
-    ``_quadrature`` pair where z is finite and no pass certifies, formed a
+    ``_quadrature`` row where z is finite and no pass certifies, formed a
     _CURVE_BLOCK of nodes at a time and yielded from that block's lists.
-    A pass the kernel stopped is None, unless its quad is (None, None):
-    then it is summed in full, as the mpmath pass's precision is sized
-    from it.  A part not formed is None, and no refusal is raised here:
-    ``ml_eval_detailed`` raises it at the node.
+    A pass the kernel stopped, and a part not formed, is None.  No refusal
+    is raised here: ``ml_eval_detailed`` raises it at the node.
     """
     finite = np.isfinite(z)
     to_sum = finite & _near(params, z)
@@ -714,16 +704,14 @@ def _summed(params: MLParams, z: np.ndarray):
         to_sum[j] = not _overflows(params, z[j].item())
     near = np.flatnonzero(to_sum)
     passes = [None] * z.size
-    judged, done, stopped = [], [], []  # nodes whose pass completed, its tuple; stopped
+    judged, done = [], []  # nodes whose pass completed, and its tuple
     sums = (_sum_double_many(params, z[near]) if near.size > 1
             else [_sum_double(params, zj) for zj in z[near].tolist()])
     for j, node_sums in zip(near.tolist(), sums):
-        if node_sums.__class__ is tuple:
+        if node_sums.__class__ is tuple:  # not the int of a pass the kernel stopped
             passes[j] = node_sums
             judged.append(j)
             done.append(node_sums)
-        else:
-            stopped.append(j)
     certified = np.zeros(z.size, dtype=bool)
     if judged:
         certified[judged] = _certifies(*zip(*done))
@@ -735,10 +723,6 @@ def _summed(params: MLParams, z: np.ndarray):
         if at.size:
             for i, quad in zip(at.tolist(), _quadrature(params, z[lo + at])):
                 quads[i] = quad
-        for j in stopped[bisect_left(stopped, lo):bisect_left(stopped, hi)]:
-            if quads[j - lo] == (None, None):
-                passes[j] = _sum_double(params, z[j].item())
-                certified[j] = _certifies(*passes[j])
         yield from zip(passes[lo:hi], certified[lo:hi].tolist(), quads)
 
 
@@ -746,9 +730,11 @@ def ml_eval_detailed(params: MLParams, z: float, summed=None) -> MLResult:
     """Evaluate E[alpha, beta](z) and report the regime and terms used.
 
     ``summed`` is the node's stage from ``_summed`` (``ml_eval_many``);
-    without it z is staged as a one-node curve.  Raises MLOverflowError
-    where ``_overflows``: the peak term, and so E, exceeds double range;
-    and SeriesConvergenceError where the double pass did not stop.
+    without it z is staged as a one-node curve.  Raises ValueError for a
+    non-finite z; MLOverflowError where ``_overflows`` (the peak term, and
+    so E, exceeds double range) or an mpmath pass's value does; and
+    SeriesConvergenceError where the double pass did not stop, or where
+    ``_series_mp`` would pass _MAX_DPS digits or its pass did not stop.
     """
     z = float(z)  # a numpy scalar would slow every term of the double pass
     if not math.isfinite(z):
@@ -756,23 +742,15 @@ def ml_eval_detailed(params: MLParams, z: float, summed=None) -> MLResult:
     if z > 1.0 and _overflows(params, z):
         raise MLOverflowError(f"E[{params.alpha}, {params.beta}]({z}) exceeds double range")
     sums, certified, quad = summed or next(_summed(params, np.array([z])))
-    lost = None  # digits the double pass saw cancel
     if sums is not None:
-        value, terms, max_mag = sums
+        value, terms, _ = sums
         if terms is None:
             raise SeriesConvergenceError(
                 f"series for E[{params.alpha}, {params.beta}]({z}) did not satisfy "
                 f"the stopping rule within {_MAX_TERMS} terms")
         if certified:
             return MLResult(value, "series", terms)
-        if value is not None:  # None: a power overflowed
-            lost = math.log10(max(max_mag, 1.0) / abs(value)) if value != 0.0 else 17.0
-    res, quad_lost = quad
-    if res is not None:
-        return res
-    if quad_lost is None:
-        quad_lost = _peak_digits(params, z) if lost is None else lost
-    return _series_mp(params, z, quad_lost)
+    return quad or _series_mp(params, z, _peak_digits(params, z))
 
 
 def ml_eval(params: MLParams, z: float) -> float:

@@ -228,20 +228,21 @@ class TestRegimes:
             assert lo == pytest.approx(hi, rel=1e-6)
 
     def test_alpha_one_far_field_uses_series_fallback(self):
-        # the algebraic expansion vanishes identically at alpha = 1; the
-        # evaluator must fall back to the series instead of returning 0
+        # the algebraic expansion vanishes identically at alpha = 1 and the
+        # contour does not certify e^-30; the evaluator must fall back to
+        # E[1, 1](-x) = e^-x instead of returning 0
         res = ml_eval_detailed(MLParams(1.0, 1.0), -30.0)
-        assert res.regime == "series"
+        assert res.regime == "contour"
         assert res.value == pytest.approx(math.exp(-30.0), rel=1e-12)
 
     @pytest.mark.parametrize("x", [336.0, 400.0])
     def test_alpha_one_far_field_meets_contract(self, x):
-        # e^-x under ~290 digits of cancellation: the working precision
-        # doubles until a pass keeps 17 digits
+        # e^-x, where the series cancels by ~290 digits: the contour does
+        # not certify it, so the node takes math.exp's value
         assert ml_eval(MLParams(1.0), -x) == pytest.approx(math.exp(-x), rel=1e-13, abs=0)
 
     def test_no_double_pass_past_the_far_switch(self, monkeypatch):
-        # for z < -10 alpha, alpha < 2: contour, then mpmath
+        # for z < -10 alpha, alpha < 2: the contour (here with e^-x), never a double pass
         sum_double = mittag_leffler._sum_double
 
         def forbidden(params, z):
@@ -297,9 +298,12 @@ class TestRegimes:
             ml_eval(MLParams(alpha, beta), x)
 
     def test_non_convergence_signal(self, monkeypatch):
+        # a far node next to a zero of E[1.5](-x) (x ~ 24.25): no double
+        # pass, the contour does not certify, and the mpmath series's peak
+        # term lies past the 5-term cap
         monkeypatch.setattr(mittag_leffler, "_MAX_TERMS", 5)
         with pytest.raises(SeriesConvergenceError):
-            ml_eval(MLParams(1.0, 1.0), -30.0)
+            ml_eval(MLParams(1.5, 1.0), -24.2)
 
     def test_nonfinite_argument(self):
         with pytest.raises(ValueError):
@@ -558,8 +562,8 @@ class TestIntegerPass:
         self.assert_same_bits(seen)
 
     @pytest.mark.parametrize("alpha, beta, z, count", [
-        (1.0, 1.0, -40.0, 1),
-        (1.0, 1.0, -100.0, 2),  # the first pass keeps ~3.5 digits
+        (1.5, 1.0, -24.2, 1),  # a far node next to a zero of E
+        (0.7, 0.5, -1.6535283825291351, 2),  # the double nearest a zero: 25, then 50 digits
         (0.5, 6.0, -0.05, 1),
         (0.5, 8.0, -0.85, 1),
         (1e-10, 1e300, -1e-12, 1),  # coefficients near 10^-3e302
@@ -613,6 +617,61 @@ class TestIntegerPass:
         assert len(table) == size  # a shorter pass computes nothing new
         with mp.workdps(29):
             assert all(mp.mpf(c) == mp.rgamma(mp.mpf(0.7) * k + 0.5) for k, c in table.items())
+
+
+class TestOneEstimate:
+    """The peak term alone sizes a node's first mpmath pass, in a lone value
+    and in a curve, stopped passes included."""
+
+    def test_first_pass_is_sized_by_the_peak_term(self, monkeypatch):
+        wrong = {}  # (alpha, beta, z, call) -> {node: (digits, expected)}
+        for alpha, beta, z in [(0.7, 0.5, -1.6535283825291351),  # the double nearest a zero
+                               (2.0, 1.0, -1e4),
+                               (0.5, 6.0, 0.05),
+                               (0.5, 6.0, -0.05),
+                               (0.5, 1.0, 20.0)]:  # z^k overflows before the terms peak
+            params = MLParams(alpha, beta)
+            curve = [z, 0.9 * z]
+            for name, call in (("lone", lambda: ml_eval(params, z)),
+                               ("curve", lambda: mittag_leffler.ml_eval_many(params, curve))):
+                first = {}  # node -> the digits of its first pass
+                for _, zj, dps in TestIntegerPass.passes(monkeypatch, call):
+                    first.setdefault(zj, dps)
+                assert z in first, (alpha, beta, z, name)
+                sized = {zj: max(25, int(min(mittag_leffler._MAX_DPS + 1,
+                                             17 + mittag_leffler._peak_digits(params, zj) + 8)))
+                         for zj in first}
+                if first != sized:
+                    wrong[alpha, beta, z, name] = {zj: (first[zj], sized[zj]) for zj in first}
+        assert not wrong
+
+
+class TestClassicalDecay:
+    """At nu = 1 the closed form is N_a e^(-ct): where the contour does not
+    certify E[1, 1](-x), the value is e^-x from math.exp, without mpmath."""
+
+    @pytest.fixture(autouse=True)
+    def no_mpmath(self, monkeypatch):
+        def forbidden(params, z, dps):
+            raise AssertionError(f"mpmath pass at z = {z}")
+
+        monkeypatch.setattr(mittag_leffler, "_sum_mp", forbidden)
+
+    def test_is_the_exponential(self):
+        # up to x ~ 12.55 the contour still certifies some nodes, within
+        # 1e-13 (E[1](-12.1547...) 2.6e-15 off); past that every value is exp's
+        params = MLParams(1.0)
+        xs = np.geomspace(10.0, 1e6, 60)
+        want = [math.exp(-x) if x > 12.6 else pytest.approx(math.exp(-x), rel=1e-13, abs=0)
+                for x in xs.tolist()]
+        assert [ml_eval(params, -x) for x in xs.tolist()] == want
+        assert mittag_leffler.ml_eval_many(params, -xs).tolist() == want
+        assert ml_eval(params, -745.0) == math.exp(-745.0) == 5e-324
+
+    def test_decay_curve(self):
+        grid = UniformGrid.from_span(0.0, 100.0, 2000)
+        curve = closed_form_curve(KineticProblem(nu=1.0, c=1.0, N_a=1.0), grid)
+        assert curve.values == pytest.approx(np.exp(-grid.offsets()), rel=1e-13, abs=0)
 
 
 # alpha on [0.1, 1.9] and the beta of every benchmark and identity curve
@@ -794,9 +853,8 @@ class TestOnePath:
 
     @pytest.mark.parametrize("contour", [True, False])
     def test_each_pass_is_judged_once(self, monkeypatch, contour):
-        # a verdict per completed pass; a stopped pass is judged only where
-        # the contour gives no digit count (here, without it: every node)
-        # and it is summed in full
+        # a verdict per completed pass; a stopped pass is never judged, with
+        # or without a contour value for its node
         verdicts, stopped = [], []
         real, kernel = mittag_leffler._certifies, mittag_leffler._sum_double_many
 
@@ -813,7 +871,7 @@ class TestOnePath:
         monkeypatch.setattr(mittag_leffler, "_sum_double_many", kernel_spy)
         if not contour:
             monkeypatch.setattr(mittag_leffler, "_quadrature",
-                                lambda params, z: [(None, None)] * z.size)
+                                lambda params, z: [None] * z.size)
         # near nodes that certify, that go on to the contour, and far ones
         for params, zs in [(MLParams(0.7), -np.linspace(0.01, 20.0, 700)),
                            (MLParams(0.7, 0.5), -np.linspace(1.5, 1.8, 40)),
@@ -824,7 +882,7 @@ class TestOnePath:
             stopped.clear()
             mittag_leffler.ml_eval_many(params, zs)
             near = np.count_nonzero(mittag_leffler._near(params, zs))
-            assert len(verdicts) == near - (len(stopped) if contour else 0)
+            assert len(verdicts) == near - len(stopped)
             assert (len(stopped) > 0) == (params.alpha < 2.0)
         for z in (-0.5, -5.0, -30.0):  # two near nodes, then one far
             verdicts.clear()
@@ -862,8 +920,9 @@ STOP_BETAS = [0.1, 0.3, None, 0.5, 1.0, 1.3, 1.5, 2.0, 3.0, 5.0]
 
 class TestStopRule:
     """The lockstep kernel stops a pass only where it provably cannot
-    certify; a stopped node whose contour gives no digit count is summed in
-    full, so every value and refusal stays that of ``ml_eval``."""
+    certify; a stopped node that the contour does not certify goes to
+    mpmath as its lone value does, so every value and refusal stays that of
+    ``ml_eval``."""
 
     def test_stops_only_passes_that_fail(self):
         # 40 000 passes; lowering either margin of the rule to 0.5 stops
@@ -879,8 +938,8 @@ class TestStopRule:
 
     @pytest.mark.parametrize("alpha, beta", [(0.7, 1.0), (0.7, 0.5), (1.5, 1.0)])
     def test_stopped_passes_without_contour_values(self, monkeypatch, alpha, beta):
-        # every node's contour pair is (None, None): each stopped pass is
-        # summed in full, and mpmath is sized from its cancellation
+        # no node has a contour value: each stopped pass's node takes
+        # mpmath, sized from the peak term as the lone value's is
         stopped = []
         kernel = mittag_leffler._sum_double_many
 
@@ -891,7 +950,7 @@ class TestStopRule:
 
         monkeypatch.setattr(mittag_leffler, "_sum_double_many", spy)
         monkeypatch.setattr(mittag_leffler, "_quadrature",
-                            lambda params, z: [(None, None)] * z.size)
+                            lambda params, z: [None] * z.size)
         params = MLParams(alpha, beta)
         zs = -np.linspace(0.05, 10.0 * alpha, 40)
         assert mittag_leffler.ml_eval_many(params, zs).tolist() == [
@@ -977,13 +1036,13 @@ class TestBatchedContour:
         zs = np.append(-np.geomspace(1e-2, 1e4, 301), [-1000.0, 0.0, 2.0])
         many = mittag_leffler._quadrature(params, zs)
         assert many == [mittag_leffler._quadrature(params, np.array([z]))[0] for z in zs.tolist()]
-        assert many[-2:] == [(None, None), (None, None)]  # z >= 0 is not its regime
-        assert sum(res is not None for res, _ in many) > 100
+        assert many[-2:] == [None, None]  # z >= 0 is not its regime
+        assert sum(res is not None for res in many) > 100
 
     def test_underflow_to_zero_is_certified(self):
         params = MLParams(0.3, 200.0)
-        res, lost = mittag_leffler._quadrature(params, np.array([-1000.0]))[0]
-        assert res.value == 0.0 and res.regime == "contour" and lost is None
+        res = mittag_leffler._quadrature(params, np.array([-1000.0]))[0]
+        assert res.value == 0.0 and res.regime == "contour"
         assert ml_eval_detailed(params, -1000.0) == res
 
     def test_exponential_underflow_to_zero_is_certified(self):
@@ -1076,7 +1135,7 @@ class TestAlphaNearOne:
         # contour on the remainder after one algebraic term misses these
         params = MLParams(alpha, alpha)
         xs = np.geomspace(10.0 * alpha, 1e6, 41)[1:]
-        for x, (res, _) in zip(xs, mittag_leffler._quadrature(params, -xs)):
+        for x, res in zip(xs, mittag_leffler._quadrature(params, -xs)):
             assert res is not None and res.regime == "contour", x
 
 

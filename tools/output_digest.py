@@ -7,13 +7,15 @@ the one holding this file) and runs rounds 0 and 1 of each workload, built
 with seed 11, through ``workloads.run``, untimed and unchecked; nothing
 under ``bench/`` is changed.  Every operation's curves (name and float64
 bytes), report CSV and exit code, or the error it raised (type and
-message), feed one SHA-256 per workload, printed one per line.  The line
-``evaluator`` digests a fixed scan of the Mittag-Leffler evaluator: over
-SCAN_PARAMS, ``ml_eval_many`` on a negative-axis curve and on SCAN_Z, and a
-lone ``ml_eval_detailed`` at each z of SCAN_Z and at each point of
-SCAN_MP, with each value's bits, regime and terms, or each refusal's type
-and message.  The last line digests all of them.  Two trees that print the
-same lines gave the same bits.
+message), feed one SHA-256 per workload, printed one per line.  Two lines
+digest a fixed scan of the Mittag-Leffler evaluator: over SCAN_PARAMS,
+``ml_eval_many`` on a negative-axis curve and on SCAN_Z, and a lone
+``ml_eval_detailed`` at each z of SCAN_Z and at each point of SCAN_MP.
+``evaluator_values`` holds each value's bits, or each refusal's type and
+message; ``evaluator_regimes`` each lone value's regime and terms, so that
+a change which moves only how values are made shows as such.  The last
+line digests all of them.  Two trees that print the same lines gave the
+same bits.
 """
 
 import os
@@ -39,9 +41,10 @@ SCAN_Z = (-1e300, -100.0, -40.0, -12.0, -6.5, -1.6535, -0.5, 0.0,
           0.5, 0.999, 2.0, 30.0, 800.0)
 # (alpha, beta, z) that take the mpmath series: at |z| <= 1 the double
 # pass's estimate does not certify these E[0.5, 6] and E[0.5, 8] values,
-# well below 1; E[1](-300) takes two passes, at 177 and 354 digits.
+# well below 1; E[0.7, 0.5] at the double nearest its zero takes two
+# passes, at 25 and 50 digits.
 SCAN_MP = tuple((0.5, beta, z) for beta in (6.0, 8.0) for z in (-0.05, -0.3, -0.85)) + (
-    (1.0, 1.0, -300.0),)
+    (0.7, 0.5, -1.6535283825291351),)
 
 
 def digest(workloads, name: str) -> str:
@@ -64,35 +67,42 @@ def digest(workloads, name: str) -> str:
     return h.hexdigest()
 
 
-def _outcome(call) -> bytes:
-    """What ``call()`` returned, as bytes, or the program error it raised."""
+def _outcome(call) -> tuple[bytes, bytes]:
+    """The (value, regime) bytes ``call()`` returned; where it raised a
+    program error, that error's type and message, and ``raised``."""
     try:
         return call()
     except (ArithmeticError, ValueError) as exc:  # the program's error families
-        return f"raised {type(exc).__name__}: {exc}\n".encode()
+        return f"raised {type(exc).__name__}: {exc}\n".encode(), b"raised\n"
 
 
-def _lone(mittag_leffler, params, z) -> bytes:
-    res = mittag_leffler.ml_eval_detailed(params, z)
-    return struct.pack("<d", res.value) + f" {res.regime} {res.terms}\n".encode()
-
-
-def scan_digest(mittag_leffler) -> str:
+def scan_digest(mittag_leffler) -> tuple[str, str]:
+    """The hex digests of the scan's values and of its regimes."""
     import numpy as np
 
-    h = hashlib.sha256()
+    values, regimes = hashlib.sha256(), hashlib.sha256()
+
+    def feed(label: str, call):
+        value, regime = _outcome(call)
+        for h, data in ((values, value), (regimes, regime)):
+            h.update(label.encode())
+            h.update(data)
+
+    def lone(params, z):
+        res = mittag_leffler.ml_eval_detailed(params, z)
+        return struct.pack("<d", res.value) + b"\n", f"{res.regime} {res.terms}\n".encode()
+
     for alpha, beta in SCAN_PARAMS:
         params = mittag_leffler.MLParams(alpha, beta)
-        h.update(f"params {alpha!r} {beta!r}\n".encode())
         for zs in (-np.linspace(0.0, 12.0 * alpha, 241), np.array(SCAN_Z)):
-            h.update(_outcome(lambda: mittag_leffler.ml_eval_many(params, zs).tobytes()))
+            feed(f"params {alpha!r} {beta!r} curve\n",
+                 lambda: (mittag_leffler.ml_eval_many(params, zs).tobytes(), b"\n"))
         for z in SCAN_Z:
-            h.update(_outcome(lambda: _lone(mittag_leffler, params, z)))
+            feed(f"params {alpha!r} {beta!r} lone {z!r}\n", lambda: lone(params, z))
     for alpha, beta, z in SCAN_MP:
         params = mittag_leffler.MLParams(alpha, beta)
-        h.update(f"mp {alpha!r} {beta!r} {z!r}\n".encode())
-        h.update(_outcome(lambda: _lone(mittag_leffler, params, z)))
-    return h.hexdigest()
+        feed(f"mp {alpha!r} {beta!r} {z!r}\n", lambda: lone(params, z))
+    return values.hexdigest(), regimes.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -109,11 +119,16 @@ def main(argv=None) -> int:
     from fracrelax import mittag_leffler
 
     total = hashlib.sha256()
-    for name in (*workloads.WORKLOADS, "evaluator"):
-        value = scan_digest(mittag_leffler) if name == "evaluator" else digest(workloads, name)
+
+    def emit(name: str, value: str):
         line = f"{name} {value}"
         total.update(line.encode())
         print(line, flush=True)
+
+    for name in workloads.WORKLOADS:
+        emit(name, digest(workloads, name))
+    for name, value in zip(("evaluator_values", "evaluator_regimes"), scan_digest(mittag_leffler)):
+        emit(name, value)
     print(f"all {total.hexdigest()}")
     return 0
 
