@@ -12,9 +12,9 @@ relative:
    estimate (largest partial sum and term count) certifies, because there
    it is accurate to a few ulp, which the Neumann-envelope checks at
    |z| <= 1 rely on.  In a curve, a pass at z < 0 that regime 2 can take
-   stops at the first term that proves its estimate cannot certify: past
-   the terms' peak, where the partial sums are bounded, or above
-   1/Gamma(beta), which bounds E where it is completely monotone
+   stops at the first checked term that proves its estimate cannot
+   certify: past the terms' peak, where the partial sums are bounded, or
+   above 1/Gamma(beta), which bounds E where it is completely monotone
    (``_sum_double_many``).
 2. Contour, for z = -x < 0 and alpha < 2: the Bromwich integral
 
@@ -84,11 +84,14 @@ _SERIES_TOL = 1e-16
 _MAX_TERMS = 10_000
 # The lockstep kernel's stop rule: a pass stops once its rounding estimate
 # exceeds _TARGET_REL of a bound on its value by _PEAK_MARGIN (past the
-# terms' peak) or by _CM_MARGIN (where E is completely monotone).  Either
-# margin at 0.5 stops certifying passes (2 499 or 494) in the 40 000-pass
-# scan of tests/test_mittag_leffler.py.
+# terms' peak) or by _CM_MARGIN (where E is completely monotone), tested at
+# every _STOP_EVERY-th term.  Either margin at 0.5 stops certifying passes
+# (2 306 or 488) in the 40 000-pass scan of tests/test_mittag_leffler.py.
+# One closed_form round's kernel took 20.2, 18.0, 16.4, 15.3, 16.1 ms at 1,
+# 2, 4, 8, 16, and 26.3 ms with no rule (best of 27, 2 shared cores).
 _PEAK_MARGIN = 2.0
 _CM_MARGIN = 1.01
+_STOP_EVERY = 8
 # Algebraic terms the far form splits off: _FAR_TERMS past z = -10 alpha, and
 # enough that beta' - alpha < _FAR_MAX_EXCESS.  The contour's certificate,
 # measured to hold up to beta - alpha = 4, at 26.4 passed a value 1e37 off.
@@ -222,26 +225,28 @@ def _sum_double(params: MLParams, z: float):
     return None, None, max_mag
 
 
-def _sum_double_many(params: MLParams, zs: np.ndarray) -> list:
+def _sum_double_many(params: MLParams, zs: np.ndarray):
     """``_sum_double`` at every finite z of ``zs``, bitwise, in lockstep,
     except that a pass which provably cannot certify stops early.
 
-    Term k is one set of numpy operations over the passes still running;
-    IEEE addition, multiplication and abs round as on Python floats, and
-    fmax ignores a NaN as ``_sum_double``'s comparisons do, so every pass
-    that completes returns the tuple ``_sum_double`` would, (None, None,
-    max_magnitude) included.  A finished pass keeps its buffer slot, with a
-    NaN term, power and max magnitude that fail every later test, until
-    half of the slots are finished; then the live ones are compacted.
-    Powers are tested for overflow only from the term where the largest
-    |z| could reach 2^1024.
+    Returns arrays over ``zs``: the value (nan for None), the terms (0 for
+    None; for a pass the rule below stopped, the term it stopped at), the
+    max magnitude, and whether the rule stopped the pass.  Term k is one
+    set of numpy operations over the passes still running; IEEE addition,
+    multiplication and abs round as on Python floats, and fmax ignores a
+    NaN as ``_sum_double``'s comparisons do, so every pass that completes
+    gives ``_sum_double``'s fields.  A finished pass keeps its buffer slot,
+    with a NaN power and max magnitude that fail every later test, until
+    half of the slots are finished; then the live ones are compacted.  From
+    the term where the largest |z| could reach 2^1024, np.isinf flags
+    overflow into the contiguous D (numpy 2.4.6 misflags strided bools).
 
     A pass at z < 0 that ``_quadrature`` can take (``_heads``) stops at the
-    first term k that proves it cannot certify, and gives the int k in
-    place of its tuple.  With s_k the partial sum before term T_k, M_k the
-    max magnitude so far and e_k = eps (4 + 2 sqrt(k)), a pass that stopped
-    at term m >= k would certify only if e_m max(M_m, 1) <= _TARGET_REL
-    |s_m|; the left side is at least e_k max(M_k, 1).
+    first term k, of every _STOP_EVERY-th, that proves it cannot certify.
+    With s_k the partial sum before term T_k, M_k the max magnitude so far
+    and e_k = eps (4 + 2 sqrt(k)), a pass that stopped at term m >= k would
+    certify only if e_m max(M_m, 1) <= _TARGET_REL |s_m|; the left side is
+    at least e_k max(M_k, 1).
 
     (i) Past the peak: e_k M_k > _PEAK_MARGIN _TARGET_REL (|s_k| + |T_k|).
         |T_j| = x^j / Gamma(alpha j + beta) is log-concave in j (lgamma is
@@ -261,13 +266,16 @@ def _sum_double_many(params: MLParams, zs: np.ndarray) -> list:
         0 < E <= E(0) = 1/Gamma(beta) = T_0, and a pass whose value is
         within 1% of T_0 of E has _TARGET_REL |s_m| < e_k max(M_k, 1).
 
-    A pass at -10 alpha <= z < 0, alpha < 2, stops by itself long before
-    _MAX_TERMS (its terms there fall below e^-5000), so the rule never
-    stops one that ``ml_eval_detailed`` would refuse.
+    No stop m >= k certifies, so the unchecked terms change no value: a
+    doomed pass left running meets the rule later, or completes and fails
+    ``_certifies``.  Every pass at -10 alpha <= z < 0, alpha < 2, completes
+    long before _MAX_TERMS (its terms there fall below e^-5000), so no pass
+    the rule may stop is one that ``ml_eval_detailed`` would refuse.
     """
     z = np.array(zs, dtype=float)
     n = z.size
-    results: list = [None] * n
+    value, max_out = np.full(n, math.nan), np.empty(n)
+    terms, stopped = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
     slot = np.arange(n)  # index into zs of each buffer slot
     live = np.ones(n, dtype=bool)
     stoppable = (z < 0.0) & (_heads(params) is not None)  # passes the rule may stop
@@ -281,20 +289,21 @@ def _sum_double_many(params: MLParams, zs: np.ndarray) -> list:
     coeffs = _series_coefficients(alpha, beta, size)
     cm_bound = _CM_MARGIN * _TARGET_REL * coeffs[0] if alpha <= 1.0 and beta >= alpha else None
 
-    def finish(js, outcomes):  # record the slots js, then mask them
+    def finish(js, k):  # record the slots js' terms and max magnitude, then mask them
         nonlocal running
-        for i, outcome in zip(slot[js].tolist(), outcomes):
-            results[i] = outcome
+        i = slot[js]
+        terms[i], max_out[i] = k, M[js]
         live[js] = False
-        term[js] = at[js] = zk[js] = max_mag[js] = math.nan
+        ZK[js] = M[js] = math.nan
         running -= js.size
+        return i
 
     with np.errstate(over="ignore", invalid="ignore"):  # masked or compared
         for k in range(_MAX_TERMS + 1):
             if k == 0 or 2 * running <= used:
                 if running == 0:
                     break
-                keep = np.flatnonzero(live[:used])
+                keep = live[:used].nonzero()[0]
                 for buf in (slot, s, comp, max_mag, abs_s, zk, z, stoppable):
                     buf[:running] = buf[keep]
                 live[:running] = True
@@ -315,10 +324,10 @@ def _sum_double_many(params: MLParams, zs: np.ndarray) -> list:
                 np.fmax(A, 1.0, out=Y)
                 Y *= _SERIES_TOL
                 np.less(AT, Y, out=D)
-                js = np.flatnonzero(D)
+                js = D.nonzero()[0]
                 if js.size:
-                    finish(js, [(v, k, m) for v, m in zip(S[js].tolist(), M[js].tolist())])
-                if rule:
+                    value[finish(js, k)] = S[js]
+                if rule and k % _STOP_EVERY == 0:
                     e = _EPS * (4.0 + 2.0 * math.sqrt(k))
                     np.add(A, AT, out=Y)  # (i)
                     Y *= _PEAK_MARGIN * _TARGET_REL / e
@@ -326,9 +335,9 @@ def _sum_double_many(params: MLParams, zs: np.ndarray) -> list:
                         np.minimum(Y, cm_bound / e if cm_bound >= e else -1.0, out=Y)
                     np.greater(M, Y, out=D)
                     D &= O
-                    js = np.flatnonzero(D)
+                    js = D.nonzero()[0]
                     if js.size:
-                        finish(js, [k] * js.size)
+                        stopped[finish(js, k)] = True
             np.subtract(TERM, C, out=Y)
             np.add(S, Y, out=T)
             np.subtract(T, S, out=C)
@@ -339,13 +348,13 @@ def _sum_double_many(params: MLParams, zs: np.ndarray) -> list:
             np.fmax(M, AT, out=M)
             ZK *= Z
             if k >= grows:
-                np.isinf(ZK, out=D)  # D stays contiguous: numpy 2.4.6 misflags strided bool outs
-                js = np.flatnonzero(D)
+                np.isinf(ZK, out=D)
+                js = D.nonzero()[0]
                 if js.size:
-                    finish(js, [(None, k + 1, m) for m in M[js].tolist()])
-    for j in np.flatnonzero(live[:used]):  # passes that did not stop
-        results[slot[j]] = (None, None, float(max_mag[j]))
-    return results
+                    finish(js, k + 1)
+    js = live[:used].nonzero()[0]  # passes that did not stop
+    max_out[slot[js]] = max_mag[js]
+    return value, terms, max_out, stopped
 
 
 @lru_cache(maxsize=32)
@@ -560,7 +569,7 @@ def _contour(alpha: float, beta: float, xs: np.ndarray):
     if alpha > 1.0:
         mus, residue, residue_scale, disc = np.array(
             [_pole_terms(alpha, beta, xj) for xj in xs.tolist()]).reshape(n, 4).T
-        groups = [(mu, np.flatnonzero(mus == mu)) for mu in set(mus.tolist())]
+        groups = [(mu, (mus == mu).nonzero()[0]) for mu in set(mus.tolist())]
     else:
         residue = residue_scale = disc = 0.0
         groups = [(_CONTOUR_MU, np.arange(n))]
@@ -647,8 +656,8 @@ def _quadrature(params: MLParams, z: np.ndarray) -> list:
     if least is None:
         return out
     far = x > 10.0 * alpha
-    for m, at in ((least, np.flatnonzero((x > 0.0) & ~far)),
-                  (max(_FAR_TERMS, least), np.flatnonzero(far))):
+    for m, at in ((least, ((x > 0.0) & ~far).nonzero()[0]),
+                  (max(_FAR_TERMS, least), far.nonzero()[0])):
         xm = x[at]
         if not xm.size:
             continue
@@ -668,7 +677,7 @@ def _quadrature(params: MLParams, z: np.ndarray) -> list:
                 err = (tail_err + 2.0 * _EPS * np.abs(tail)) * np.abs(zk) + _HEAD_ROUNDING * heads
             # a value of 0 makes the ratio inf or nan, which fails the test
             certified = np.isfinite(value) & (err / np.abs(value) <= _TARGET_REL)
-        left = [] if all(certified.tolist()) else np.flatnonzero(~certified).tolist()
+        left = [] if all(certified.tolist()) else (~certified).nonzero()[0].tolist()
         keep = certified if left else slice(None)  # no mask copies where all certify
         for j, v, count in zip(at[keep].tolist(), value[keep].tolist(), nodes[keep].tolist()):
             out[j] = MLResult(v, "contour", count)
@@ -689,10 +698,10 @@ def _quadrature(params: MLParams, z: np.ndarray) -> list:
 def _summed(params: MLParams, z: np.ndarray):
     """Yields (pass, certified, quad) for each z of the array ``z``, in order.
 
-    pass is the node's ``_sum_double`` tuple where ``_near`` tries one
-    (two or more in lockstep, a lone one in the scalar loop, which costs
-    less) and ``_overflows`` does not refuse z, and certified its
-    ``_certifies`` verdict, formed for the curve at once; quad is its
+    pass is the node's ``_sum_double`` tuple (nan for None from the kernel)
+    where ``_near`` tries one (two or more in lockstep, a lone one in the
+    scalar loop, which costs less) and ``_overflows`` does not refuse z, and
+    certified its ``_certifies`` verdict, formed at once; quad is its
     ``_quadrature`` row where z is finite and no pass certifies, formed a
     _CURVE_BLOCK of nodes at a time and yielded from that block's lists.
     A pass the kernel stopped, and a part not formed, is None.  No refusal
@@ -700,26 +709,25 @@ def _summed(params: MLParams, z: np.ndarray):
     """
     finite = np.isfinite(z)
     to_sum = finite & _near(params, z)
-    for j in np.flatnonzero(to_sum & (z > 1.0)).tolist():
+    for j in (to_sum & (z > 1.0)).nonzero()[0].tolist():
         to_sum[j] = not _overflows(params, z[j].item())
-    near = np.flatnonzero(to_sum)
+    near = to_sum.nonzero()[0]
     passes = [None] * z.size
-    judged, done = [], []  # nodes whose pass completed, and its tuple
-    sums = (_sum_double_many(params, z[near]) if near.size > 1
-            else [_sum_double(params, zj) for zj in z[near].tolist()])
-    for j, node_sums in zip(near.tolist(), sums):
-        if node_sums.__class__ is tuple:  # not the int of a pass the kernel stopped
-            passes[j] = node_sums
-            judged.append(j)
-            done.append(node_sums)
     certified = np.zeros(z.size, dtype=bool)
-    if judged:
-        certified[judged] = _certifies(*zip(*done))
+    if near.size > 1:
+        value, terms, max_mag, stopped = _sum_double_many(params, z[near])
+        near, *sums = (a[~stopped] for a in (near, value, terms, max_mag))
+        for j, v, k, m in zip(near.tolist(), *(a.tolist() for a in sums)):
+            passes[j] = (v, k or None, m)  # 0 terms: the pass did not stop
+    elif near.size:  # a lone pass costs less in the scalar loop
+        sums = passes[near.item()] = _sum_double(params, z[near].item())
+    if near.size:
+        certified[near] = _certifies(*sums)
     tried = finite & ~certified
     for lo in range(0, z.size, _CURVE_BLOCK):
         hi = min(lo + _CURVE_BLOCK, z.size)
         quads = [None] * (hi - lo)
-        at = np.flatnonzero(tried[lo:hi])
+        at = tried[lo:hi].nonzero()[0]
         if at.size:
             for i, quad in zip(at.tolist(), _quadrature(params, z[lo + at])):
                 quads[i] = quad

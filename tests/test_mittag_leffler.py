@@ -706,10 +706,20 @@ class TestDoomedPassSkip:
             assert handed_on > 0
 
 
+def per_pass(many):
+    """The arrays of ``_sum_double_many`` as one entry per pass: the
+    ``_sum_double`` tuple of a pass that completed (None for a nan value
+    and for 0 terms), the int k of a pass the kernel stopped at term k."""
+    value, terms, max_mag, stopped = (a.tolist() for a in many)
+    return [k if stop else (None if v != v else v, k or None, m)
+            for v, k, m, stop in zip(value, terms, max_mag, stopped)]
+
+
 def assert_stopped_passes_fail(params, zs, many):
-    """Each pass of ``many`` (``_sum_double_many`` at ``zs``) that completed
-    is the scalar tuple; each the kernel stopped, at z < 0, is one that
-    ``_certifies`` rejects, and it stopped no later than the scalar pass."""
+    """Each pass of ``many`` (``per_pass`` of the kernel at ``zs``) that
+    completed is the scalar tuple; each the kernel stopped, at z < 0, is one
+    that ``_certifies`` rejects, and it stopped no later than the scalar
+    pass."""
     stopped = 0
     for z, got in zip(zs, many):
         one = mittag_leffler._sum_double(params, z)
@@ -737,7 +747,7 @@ class TestLockstepPasses:
         for beta in sorted({alpha, 0.5, 1.0, 1.3, 2.0}):
             params = MLParams(alpha, beta)
             zs = np.linspace(-10.0 * alpha, 1.0, 201).tolist()
-            many = mittag_leffler._sum_double_many(params, zs)
+            many = per_pass(mittag_leffler._sum_double_many(params, zs))
             stopped += assert_stopped_passes_fail(params, zs, many)
         # alpha >= 2: _quadrature takes no node, so no pass may stop
         assert (stopped > 0) == (alpha < 2.0)
@@ -746,7 +756,7 @@ class TestLockstepPasses:
         # z^k overflows at different k, beside passes that stop
         params = MLParams(2.5)
         zs = [-1e100, -1e10, -1e300, -50.0, -1e100, -0.5, 3.0]
-        many = mittag_leffler._sum_double_many(params, zs)
+        many = per_pass(mittag_leffler._sum_double_many(params, zs))
         assert many == self.scalar(params, zs)
         assert many[0][0] is None and many[0] == mittag_leffler._sum_double(params, -1e100)
 
@@ -755,7 +765,7 @@ class TestLockstepPasses:
         for alpha, zs in [(0.1, [1.0, 1.2, 1.3, -1.0, 1e-3]), (0.05, [1.0, 0.5, -0.5, -1e-3]),
                           (3e-4, [1.13, 1.12, 0.5])]:  # terms that reach inf
             params = MLParams(alpha)
-            many = mittag_leffler._sum_double_many(params, zs)
+            many = per_pass(mittag_leffler._sum_double_many(params, zs))
             assert many == self.scalar(params, zs)
             assert max(k for _, k, _ in many) > 256
             assert min(k for _, k, _ in many) < 64
@@ -798,7 +808,7 @@ class TestLockstepPasses:
         monkeypatch.setattr(mittag_leffler, "_MAX_TERMS", 5)
         params = MLParams(0.5)
         zs = [-3.0, 1e-9, -1e200, 2.0, 0.0]
-        many = mittag_leffler._sum_double_many(params, zs)
+        many = per_pass(mittag_leffler._sum_double_many(params, zs))
         assert many == self.scalar(params, zs)
         assert [k is None for _, k, _ in many] == [True, False, False, True, False]
 
@@ -848,7 +858,8 @@ class TestOnePath:
         with pytest.raises((ArithmeticError, ValueError)) as lone:
             for z in zs:
                 ml_eval(params, z)
-        with pytest.raises(type(lone.value), match=re.escape(str(lone.value))):
+        # the whole message: an mpmath pass's refusal extends the double pass's
+        with pytest.raises(type(lone.value), match=f"^{re.escape(str(lone.value))}$"):
             mittag_leffler.ml_eval_many(params, zs)
 
     @pytest.mark.parametrize("contour", [True, False])
@@ -864,7 +875,7 @@ class TestOnePath:
 
         def kernel_spy(params, zs):
             many = kernel(params, zs)
-            stopped.extend(r for r in many if not isinstance(r, tuple))
+            stopped.extend(r for r in per_pass(many) if not isinstance(r, tuple))
             return many
 
         monkeypatch.setattr(mittag_leffler, "_certifies", spy)
@@ -932,9 +943,48 @@ class TestStopRule:
             for beta in STOP_BETAS:
                 params = MLParams(alpha, alpha if beta is None else beta)
                 zs = (-np.linspace(0.0, 10.0 * alpha, 201)[1:]).tolist()
-                many = mittag_leffler._sum_double_many(params, zs)
+                many = per_pass(mittag_leffler._sum_double_many(params, zs))
                 stopped += assert_stopped_passes_fail(params, zs, many)
         assert stopped > 10_000
+
+    def test_checking_every_term_changes_no_value(self, monkeypatch):
+        # the 40 000-pass scan and the benchmark curves with the rule
+        # tested at every term: each pass that completes there is the same
+        # tuple, each stop at the default interval falls on a multiple of
+        # it and is a stop at every term too, no later; and every value
+        # keeps its bits
+        every = mittag_leffler._STOP_EVERY
+        assert every > 1
+        scans = [(MLParams(alpha, alpha if beta is None else beta),
+                  (-np.linspace(0.0, 10.0 * alpha, 201)[1:]).tolist())
+                 for alpha in STOP_ALPHAS for beta in STOP_BETAS]
+        args = []
+        real = kinetics.ml_eval_many
+
+        def spy(params, zs):
+            args.append((params, list(zs)))
+            return real(params, zs)
+
+        monkeypatch.setattr(kinetics, "ml_eval_many", spy)
+        for nu, mu, span in BENCH_CURVES:
+            p = KineticProblem(nu=nu, c=1.0, N_a=1.0, mu=mu)
+            closed_form_curve(p, UniformGrid.from_span(0.0, span, 2000))
+        assert len(args) == 16 and all(max(zs) <= 0.0 for _, zs in args)
+        kernel = mittag_leffler._sum_double_many
+        default = [per_pass(kernel(params, zs)) for params, zs in scans]
+        values = [real(params, zs).tolist() for params, zs in args]
+        monkeypatch.setattr(mittag_leffler, "_STOP_EVERY", 1)
+        moved = 0
+        for (params, zs), many in zip(scans, default):
+            for z, got, one in zip(zs, many, per_pass(kernel(params, zs))):
+                if isinstance(one, tuple):
+                    assert got == one, (params, z)
+                else:
+                    moved += isinstance(got, tuple)
+                if not isinstance(got, tuple):
+                    assert got % every == 0 and isinstance(one, int) and one <= got, (params, z)
+        assert moved > 0  # passes the default interval lets complete
+        assert [real(params, zs).tolist() for params, zs in args] == values
 
     @pytest.mark.parametrize("alpha, beta", [(0.7, 1.0), (0.7, 0.5), (1.5, 1.0)])
     def test_stopped_passes_without_contour_values(self, monkeypatch, alpha, beta):
@@ -945,7 +995,7 @@ class TestStopRule:
 
         def spy(params, zs):
             many = kernel(params, zs)
-            stopped.extend(r for r in many if not isinstance(r, tuple))
+            stopped.extend(r for r in per_pass(many) if not isinstance(r, tuple))
             return many
 
         monkeypatch.setattr(mittag_leffler, "_sum_double_many", spy)
@@ -959,13 +1009,14 @@ class TestStopRule:
 
     def test_terms_on_the_far_benchmark_curve(self, monkeypatch):
         # the nu = 0.3 curve on 40/c: 1 947 near nodes, whose full passes
-        # sum 514 060 terms; the kernel sums 29 984 (1 739 passes stopped)
+        # sum 514 060 terms; the kernel, testing its rule at every 8th
+        # term, sums 34 170 (1 738 passes stopped)
         sums = []
         kernel = mittag_leffler._sum_double_many
 
         def spy(params, zs):
             many = kernel(params, zs)
-            sums.append((params, np.asarray(zs), many))
+            sums.append((params, np.asarray(zs), per_pass(many)))
             return many
 
         monkeypatch.setattr(mittag_leffler, "_sum_double_many", spy)
@@ -973,8 +1024,8 @@ class TestStopRule:
                           UniformGrid.from_span(0.0, 40.0, 2000))
         [(params, zs, many)] = sums
         assert zs.size == 1947
-        assert sum(r if isinstance(r, int) else r[1] for r in many) == 29_984
-        assert sum(not isinstance(r, tuple) for r in many) == 1739
+        assert sum(r if isinstance(r, int) else r[1] for r in many) == 34_170
+        assert sum(not isinstance(r, tuple) for r in many) == 1738
         assert sum(mittag_leffler._sum_double(params, z)[1] for z in zs.tolist()) == 514_060
 
 
