@@ -16,8 +16,10 @@ Negative arguments use the reflection formula in the form
 
 which only needs -x (exact) rather than 1 - x (rounds for large |x|).
 
-``reciprocal_gamma`` is total on the reals and returns exactly 0.0 at the
-poles, so series code can let pole terms vanish instead of branching.
+``reciprocal_gamma`` returns exactly 0.0 at the poles, so series code can
+let pole terms vanish instead of branching.  It raises GammaOverflowError
+where |1/Gamma(x)| leaves double range: between the poles below x ~ -171.09,
+away from their neighbourhoods (x = -171.999999999999 still gives ~2e299).
 """
 
 from __future__ import annotations
@@ -67,11 +69,9 @@ class GammaDomainError(ValueError):
 class GammaOverflowError(OverflowError):
     """Result exceeds double range; reported explicitly, never wrapped."""
 
-    def __init__(self, argument: float):
+    def __init__(self, argument: float, message: str | None = None):
         self.argument = argument
-        super().__init__(
-            f"gamma({argument!r}) overflows double precision"
-        )
+        super().__init__(message or f"gamma({argument!r}) overflows double precision")
 
 
 def sinpi(x: float) -> float:
@@ -144,7 +144,7 @@ def gamma(x: float) -> float:
 
 
 def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x); total on the reals, exactly 0.0 at non-positive integers."""
+    """1/Gamma(x): exactly 0.0 at the poles, GammaOverflowError past double range."""
     x = float(x)
     if math.isnan(x):
         return math.nan
@@ -159,6 +159,13 @@ def reciprocal_gamma(x: float) -> float:
         return x / _gamma_positive(x + 1.0)
     s = sinpi(x)
     if -x <= OVERFLOW_ARG:
-        return -(x * s) * _gamma_positive(-x) / math.pi
-    mag = math.exp(math.lgamma(-x) + math.log(abs(x * s) / math.pi))
+        val = -(x * s) * _gamma_positive(-x) / math.pi
+        if not math.isinf(val):
+            return val
+    # Past Gamma's range, or where the product above passes double range
+    # before the division brings it back, the magnitude goes through logs.
+    try:
+        mag = math.exp(math.lgamma(-x) + math.log(abs(x * s) / math.pi))
+    except OverflowError:
+        raise GammaOverflowError(x, f"1/gamma({x!r}) overflows double precision") from None
     return math.copysign(mag, -(x * s))

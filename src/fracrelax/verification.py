@@ -292,6 +292,8 @@ def run_sweep(
     """
     if not nus or not mus or not cs:
         raise ValueError("sweep ranges must be non-empty")
+    if n < MASK_STEPS:
+        raise ValueError(f"sweep grid too coarse: n={n} < MASK_STEPS={MASK_STEPS}")
     rows = []
     for nu in nus:
         for mu in mus:

@@ -419,6 +419,16 @@ class TestSweepCommand:
         assert captured.out == ""
         assert captured.err == f"error: --n must be >= 1, got {n}\n"
 
+    def test_step_count_below_mask_exit_2(self, capsys):
+        # the comparison keeps t - a >= MASK_STEPS h, so n = 9 has no node to compare
+        assert main(["sweep", "--nu", "0.5", "--c", "1", "--n", "9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sweep grid too coarse: n=9 < MASK_STEPS=10\n"
+        assert main(["sweep", "--nu", "0.5", "--c", "1", "--n", "10"]) == 1
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == 1 and rows[0][3] == "10" and rows[0][4] != "ERROR"
+
     @pytest.mark.parametrize("n", [MAX_NODES + 1, 2_000_000])
     def test_step_count_above_cap_exit_2(self, n, capsys):
         # one error line, not one ERROR row per cell

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import pytest
@@ -12,6 +13,7 @@ from fracrelax.gammafn import (
     reciprocal_gamma,
     sinpi,
 )
+from fracrelax.riemann_liouville import rl_derivative_power
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -102,6 +104,32 @@ class TestReciprocalGamma:
 
     def test_near_pole_not_zero(self):
         assert reciprocal_gamma(-3.0 + 1e-10) != 0.0
+
+    @pytest.mark.parametrize("x", [-171.1, -171.5, -172.5, -199.999999999, -999999.5])
+    def test_overflow_past_double_range(self, x):
+        # |1/Gamma(x)| = |x sin(pi x)| Gamma(-x) / pi passes ~1.8e308 between these poles
+        with mp.workdps(40):
+            assert abs(mp.rgamma(x)) > sys.float_info.max
+        with pytest.raises(GammaOverflowError, match=r"^1/gamma\(.*\) overflows") as exc:
+            reciprocal_gamma(x)
+        assert exc.value.argument == x
+
+    @pytest.mark.parametrize("x", [-171.999999999999, -171.000000001, -171.05, -171.09])
+    def test_finite_past_double_range_of_gamma(self, x):
+        # next to the poles, and where x sin(pi x) Gamma(-x) alone would overflow
+        with mp.workdps(40):
+            expected = float(mp.rgamma(x))
+        assert reciprocal_gamma(x) == pytest.approx(expected, rel=1e-13)
+
+    def test_poles_past_double_range_of_gamma(self):
+        assert reciprocal_gamma(-172.0) == reciprocal_gamma(-200.0) == 0.0
+        # the value before the overflow refusal, bit for bit
+        assert reciprocal_gamma(-171.999999999999) == 2.1233656703634494e+299
+
+    def test_overflow_reaches_operator_rules(self):
+        # D^nu (t - a)^(rho - 1) needs 1/Gamma(rho - nu) = 1/Gamma(-199.8)
+        with pytest.raises(GammaOverflowError, match=r"^1/gamma\(-199\.8\) overflows"):
+            rl_derivative_power(0.0, 0.5, 200.3, 1.0)
 
 
 class TestIdentities:

@@ -5,15 +5,19 @@
 
 For each workload of BENCHMARK.json and each seed, every checkout given by
 ``--root [LABEL=]PATH`` runs ``python3 -B bench/run.py --workload W --seed S
---seconds N`` in a subprocess from its own root (the checkouts take turns,
-and which goes first alternates from seed to seed), then one ``--trace 1``
-round per workload at the first seed.  Nothing under ``bench/`` is changed;
-a traced round leaves its spans in that checkout's ``bench/out/``, which
-git ignores.  The file holds, per checkout, the runs, each end-to-end
-metric's median and quartiles over the seeds, the per-layer metrics of the
-traced rounds, ``wc -l`` of each ``src/`` module and the git SHA; and the
-python, numpy and mpmath versions and the CPU count of the machine.  A run
-that fails, or prints no result, stops the tool with an error.
+--seconds N`` and then the same seed's ``--trace 1`` round, in subprocesses
+from its own root (the checkouts take turns, and which goes first alternates
+from seed to seed).  Nothing under ``bench/`` is changed; a traced round
+leaves its spans in that checkout's ``bench/out/``, which git ignores.  The
+file holds, per checkout, the runs and the traced rounds, the median and
+quartiles over the seeds of each end-to-end and each per-layer metric,
+``wc -l`` of each ``src/`` module and the git SHA; and the python, numpy and
+mpmath versions and the CPU count of the machine.
+
+The tool stops with an error, and writes nothing, where a run fails, prints
+no result or reports outputs that are not correct, and where a per-layer
+count (calls, terms, passes, bytes) differs between seeds in a workload
+whose inputs do not depend on the seed.
 """
 
 import argparse
@@ -37,6 +41,10 @@ NOTES = {
                         "below zero when the tracer costs less than the noise "
                         "(FOUND, CHANGES.md line 66)",
 }
+# verify draws its problems from the seed (bench/workloads.py), so its
+# per-layer counts move from seed to seed; those of the others repeat.
+SEEDED_INPUTS = ("verify",)
+COUNT_UNITS = ("count", "bytes")
 
 
 def seed_list(text: str) -> list[int]:
@@ -58,14 +66,28 @@ def tree(text: str) -> tuple[str, Path]:
     return label or root.name, root
 
 
-def bench(root: Path, *args: str, timeout: float) -> dict:
-    """bench/run.py's result line, run from ``root``."""
-    cmd = [sys.executable, "-B", "bench/run.py", *args]
+def bench(label: str, root: Path, workload: str, seed: int, *args: str,
+          timeout: float) -> dict:
+    """One run's result line, from ``root``; refused unless its outputs are correct."""
+    cmd = [sys.executable, "-B", "bench/run.py", "--workload", workload, "--seed", str(seed),
+           *args]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=timeout)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"error: {' '.join(cmd[2:])} in {root} failed:\n{proc.stderr}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    if result.get("correct") is not True:
+        raise SystemExit(f"error: {label}: {workload} seed {seed} ({' '.join(cmd[2:])} in "
+                         f"{root}) reports correct = {result.get('correct')!r}:\n{proc.stderr}")
+    return {"seed": seed, **result}
+
+
+def same_counts(label: str, workload: str, traced: list[dict]) -> None:
+    """Stop where a per-layer count differs between the seeds' traced rounds."""
+    for name, field in traced[0]["metrics"].items():
+        values = {run["seed"]: run["metrics"][name]["value"] for run in traced}
+        if field["unit"] in COUNT_UNITS and len(set(values.values())) > 1:
+            raise SystemExit(f"error: {label}: {workload} {name} differs between seeds: {values}")
 
 
 def git_sha(root: Path) -> dict:
@@ -116,32 +138,32 @@ def main(argv=None) -> int:
     timeout = 600.0 + 2.0 * args.seconds
 
     runs = {label: {w: [] for w in workloads} for label, _ in roots}
+    traced = {label: {w: [] for w in workloads} for label, _ in roots}
     for w in workloads:
         for i, seed in enumerate(args.seeds):
             for label, root in (roots if i % 2 == 0 else roots[::-1]):
                 print(f"{label}: {w} seed {seed}", file=sys.stderr, flush=True)
-                result = bench(root, "--workload", w, "--seed", str(seed),
-                               "--seconds", str(args.seconds), timeout=timeout)
-                runs[label][w].append({"seed": seed, **result})
+                runs[label][w].append(bench(label, root, w, seed, "--seconds", str(args.seconds),
+                                            timeout=timeout))
+                traced[label][w].append(bench(label, root, w, seed, "--trace", "1",
+                                              timeout=timeout))
+        if w not in SEEDED_INPUTS:
+            for label, _ in roots:
+                same_counts(label, w, traced[label][w])
     trees = []
     for label, root in roots:
         entry = {"label": label, "git": git_sha(root), "src_lines": src_lines(root),
                  "workloads": {}}
         for w in workloads:
-            print(f"{label}: {w} traced round", file=sys.stderr, flush=True)
-            traced = bench(root, "--workload", w, "--seed", str(args.seeds[0]), "--trace", "1",
-                           timeout=timeout)
-            layers = {name: dict(field, note=NOTES[name]) if name in NOTES else field
-                      for name, field in traced["metrics"].items()}
             entry["workloads"][w] = {
                 "end_to_end": summary(runs[label][w]),
                 "runs": runs[label][w],
-                "per_layer": {"seed": args.seeds[0], "correct": traced["correct"],
-                              "metrics": layers},
+                "per_layer": summary(traced[label][w]),
+                "traced_runs": traced[label][w],
             }
         trees.append(entry)
     doc = {
-        "command": "python3 -B bench/run.py --workload W --seed S --seconds N",
+        "command": "python3 -B bench/run.py --workload W --seed S {--seconds N | --trace 1}",
         "seeds": args.seeds,
         "seconds": args.seconds,
         "machine": {"cpu_count": os.cpu_count(), "python": sys.version.split()[0],
